@@ -46,6 +46,7 @@ mod engine;
 mod error;
 mod events;
 mod fault;
+mod link;
 mod metrics;
 mod model_spec;
 pub mod net;

@@ -5,26 +5,26 @@
 //! runs as its own actor consuming length-prefixed
 //! [`Frame`](crate::net::Frame)s from a bounded channel (backpressure: a
 //! sender that outruns a server blocks), and one downlink-router actor
-//! owns the queued disseminations and realizes each client's downlink on
-//! request. Uploads to the same server are coalesced into
+//! stores the decoded disseminations and copies each client's downlink out
+//! on request. Uploads to the same server are coalesced into
 //! `Frame::UploadBatch` frames (flushed at the batch bound or when the
 //! inbox is taken), which is where the frames/s vs bytes/s trade-off of
 //! the bench lives.
 //!
 //! Determinism: message *content* and *fate* never depend on thread
-//! scheduling. All loss draws (the `"DROP"`/`"OMIT"` streams shared with
-//! `LocalTransport`) happen in protocol order — uplink draws on the
-//! sending side in send order, downlink draws inside the router in drain
-//! order — and the [`NetModel`] delay draws are pure functions of
-//! `(seed, round, link)`. Server inboxes sort stably by modelled arrival
-//! time, so under [`NetModel::ideal`] (all delays zero) the inbox order
-//! is send order and a round is message-for-message and counter-for-
-//! counter identical to `LocalTransport` (property-tested in
-//! `crates/sim/tests/net.rs`). Under a non-trivial model, stragglers and
-//! deadline misses *emerge* from the delay arithmetic instead of being
-//! injected by a [`FaultPlan`].
+//! scheduling. Every fate — loss, crash, partition, straggling, deadline,
+//! duplication — is decided on the calling thread by the crate's single
+//! `LinkFate` (`link.rs`), the same one `LocalTransport` uses, in protocol
+//! order; the actors only carry what it selected. Server inboxes sort
+//! stably by modelled arrival time, so under [`NetModel::ideal`] (all
+//! delays zero) the inbox order is send order and a round is
+//! message-for-message and counter-for-counter identical to
+//! `LocalTransport` (property-tested in `crates/sim/tests/net.rs`). Under
+//! a non-trivial model, stragglers and deadline misses *emerge* from the
+//! delay arithmetic instead of being injected by a [`FaultPlan`]. The one
+//! fate of this carrier's own is threat-scheduled frame corruption
+//! (`"CRPT"` stream), which only a real wire can suffer.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
@@ -33,14 +33,13 @@ use fedms_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::link::{delegate_to_fate, push_copies, LinkFate};
 use crate::net::model::NetModel;
 use crate::net::wire::{decode_frame, encode_frame, BatchedUpload, Frame, WireError};
-use crate::recovery::{downlink_id, uplink_id, UploadReport};
+use crate::recovery::UploadReport;
 use crate::threat::NetThreat;
-use crate::transport::{
-    Broadcast, Delivery, DeliveryOutcome, Dissemination, Transport, Upload, DROP_LABEL, OMIT_LABEL,
-};
-use crate::{CommStats, FaultPlan, Result, SimError};
+use crate::transport::{Broadcast, Delivery, DeliveryOutcome, Dissemination, Transport, Upload};
+use crate::{CommStats, FaultPlan, Result};
 
 /// Default uploads coalesced per frame.
 const DEFAULT_COALESCE: usize = 8;
@@ -65,31 +64,33 @@ pub struct NetStats {
     pub corrupted_frames: u64,
 }
 
+/// An actor's answer: the items it holds plus the first decode error it
+/// met since the last reply.
+struct Reply<T> {
+    items: Vec<T>,
+    error: Option<WireError>,
+}
+
 enum ServerMsg {
     Begin { round: usize },
     Frame(Vec<u8>),
-    TakeInbox { reply: Sender<InboxReply> },
+    TakeInbox { reply: Sender<Reply<Tensor>> },
     Shutdown,
-}
-
-struct InboxReply {
-    models: Vec<Tensor>,
-    error: Option<WireError>,
 }
 
 enum RouterMsg {
-    Begin { round: usize, omission: f64, duplicate: f64, lossy: bool, partitioned: Vec<usize> },
+    Begin {
+        round: usize,
+    },
     Frame(Vec<u8>),
-    Drain { client: usize, reply: Sender<DrainReply> },
+    /// Copy out `client`'s downlink: `copies[i]` deliveries of the `i`-th
+    /// stored dissemination, as the fate decided.
+    Drain {
+        client: usize,
+        copies: Vec<usize>,
+        reply: Sender<Reply<Delivery>>,
+    },
     Shutdown,
-}
-
-struct DrainReply {
-    deliveries: Vec<Delivery>,
-    dropped: u64,
-    duplicated: u64,
-    deadline_missed: u64,
-    error: Option<WireError>,
 }
 
 /// One server's uplink actor: decodes incoming frames into an inbox,
@@ -130,40 +131,26 @@ fn server_actor(rx: Receiver<ServerMsg>) {
                 // Stable: equal arrival times keep send order, so the ideal
                 // model reproduces LocalTransport's send-order inbox.
                 taken.sort_by_key(|&(arrival, _)| arrival);
-                let _ = reply.send(InboxReply {
-                    models: taken.into_iter().map(|(_, m)| m).collect(),
-                    error: error.take(),
-                });
+                let items = taken.into_iter().map(|(_, m)| m).collect();
+                let _ = reply.send(Reply { items, error: error.take() });
             }
             ServerMsg::Shutdown => break,
         }
     }
 }
 
-/// The downlink router actor: owns the queued disseminations and realizes
-/// each client's downlink — fault draws in LocalTransport's exact order,
-/// then the latency model's delay/deadline arithmetic.
-fn router_actor(rx: Receiver<RouterMsg>, seed: u64, model: NetModel) {
+/// The downlink router actor: stores the decoded disseminations of the
+/// round and copies out whatever the fate selected for each client.
+fn router_actor(rx: Receiver<RouterMsg>) {
     let mut round = 0usize;
     let mut queued: Vec<(usize, Dissemination)> = Vec::new();
-    let mut omission = 0.0f64;
-    let mut duplicate = 0.0f64;
-    let mut partitioned: Vec<usize> = Vec::new();
-    let mut downlink_rng: Option<StdRng> = None;
     let mut error: Option<WireError> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
-            RouterMsg::Begin { round: r, omission: o, duplicate: d, lossy, partitioned: p } => {
+            RouterMsg::Begin { round: r } => {
                 round = r;
                 queued.clear();
-                omission = o;
-                duplicate = d;
-                partitioned = p;
                 error = None;
-                // Derived exactly like LocalTransport::begin_round, and
-                // only when the plan is lossy, so the draw sequence across
-                // drains matches the oracle bit for bit.
-                downlink_rng = lossy.then(|| rng_for(seed, &[OMIT_LABEL, r as u64]));
             }
             RouterMsg::Frame(bytes) => match decode_frame(&bytes) {
                 Ok((Frame::Broadcast { round: r, server, model }, _)) if r as usize == round => {
@@ -174,79 +161,18 @@ fn router_actor(rx: Receiver<RouterMsg>, seed: u64, model: NetModel) {
                     error.get_or_insert(e);
                 }
             },
-            RouterMsg::Drain { client, reply } => {
-                let mut deliveries = Vec::with_capacity(queued.len());
-                let mut dropped = 0u64;
-                let mut duplicated = 0u64;
-                let mut deadline_missed = 0u64;
-                for (server, diss) in &queued {
+            RouterMsg::Drain { client, copies, reply } => {
+                debug_assert_eq!(copies.len(), queued.len(), "fate and router disagree");
+                let mut items = Vec::with_capacity(queued.len());
+                for ((server, diss), &n) in queued.iter().zip(&copies) {
                     // Coverage is validated at broadcast; skip, not panic.
                     let Ok(m) = diss.for_client(client) else {
                         debug_assert!(false, "queued dissemination misses client {client}");
                         continue;
                     };
-                    // A partitioned server's dissemination never traverses
-                    // the link: dropped before any loss draw, so the draw
-                    // streams of surviving links are unaffected.
-                    if partitioned.contains(server) {
-                        dropped += 1;
-                        continue;
-                    }
-                    if let Some(rng) = &mut downlink_rng {
-                        if omission > 0.0 && rng.gen_bool(omission) {
-                            dropped += 1;
-                            continue;
-                        }
-                        let arrival = model.link_delay_ms(
-                            seed,
-                            round,
-                            downlink_id(*server, client),
-                            (m.as_slice().len() * 4) as u64,
-                        );
-                        if model.misses_deadline(arrival) {
-                            dropped += 1;
-                            deadline_missed += 1;
-                            continue;
-                        }
-                        deliveries.push(Delivery {
-                            server: *server,
-                            model: m.clone(),
-                            outcome: DeliveryOutcome::Delivered,
-                        });
-                        if duplicate > 0.0 && rng.gen_bool(duplicate) {
-                            duplicated += 1;
-                            deliveries.push(Delivery {
-                                server: *server,
-                                model: m.clone(),
-                                outcome: DeliveryOutcome::Duplicated,
-                            });
-                        }
-                    } else {
-                        let arrival = model.link_delay_ms(
-                            seed,
-                            round,
-                            downlink_id(*server, client),
-                            (m.as_slice().len() * 4) as u64,
-                        );
-                        if model.misses_deadline(arrival) {
-                            dropped += 1;
-                            deadline_missed += 1;
-                            continue;
-                        }
-                        deliveries.push(Delivery {
-                            server: *server,
-                            model: m.clone(),
-                            outcome: DeliveryOutcome::Delivered,
-                        });
-                    }
+                    push_copies(&mut items, *server, n, || m.clone());
                 }
-                let _ = reply.send(DrainReply {
-                    deliveries,
-                    dropped,
-                    duplicated,
-                    deadline_missed,
-                    error: error.take(),
-                });
+                let _ = reply.send(Reply { items, error: error.take() });
             }
             RouterMsg::Shutdown => break,
         }
@@ -264,24 +190,10 @@ struct PendingUpload {
 /// under a seed-deterministic [`NetModel`].
 pub struct NetTransport {
     seed: u64,
-    num_clients: usize,
-    num_servers: usize,
-    model: NetModel,
+    fate: LinkFate,
     coalesce: usize,
-    fault_plan: FaultPlan,
-    upload_drop_rate: f64,
-    round: usize,
-    model_len: usize,
-    recipients: usize,
-    pending_recipients: Option<usize>,
-    round_open: bool,
-    drop_rng: Option<StdRng>,
-    /// Network-layer slice of the active threat view ([`NetThreat`]):
-    /// which servers are cut off and how corrupt the wire is. Trivial
-    /// unless a [`crate::ThreatSchedule`] is driving the run.
-    net_threat: NetThreat,
     /// Per-frame corruption draws ("CRPT" stream); only instantiated while
-    /// `net_threat.corrupt_rate > 0`, so a trivial threat costs no RNG.
+    /// the threat's `corrupt_rate > 0`, so a trivial threat costs no RNG.
     corrupt_rng: Option<StdRng>,
     uplinks: Vec<SyncSender<ServerMsg>>,
     router: SyncSender<RouterMsg>,
@@ -289,9 +201,9 @@ pub struct NetTransport {
     /// Per-server coalescing buffers, flushed at the batch bound or on
     /// `take_inbox`.
     pending: Vec<Vec<PendingUpload>>,
-    /// Straggler/lag outboxes, oldest first (same FIFO as LocalTransport).
-    outboxes: Vec<VecDeque<Tensor>>,
-    comm: CommStats,
+    /// Senders of this round's disseminations that reached the router
+    /// intact, in its storage order.
+    routed: Vec<usize>,
     stats: NetStats,
     wire_error: Option<WireError>,
 }
@@ -299,10 +211,9 @@ pub struct NetTransport {
 impl std::fmt::Debug for NetTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetTransport")
-            .field("round", &self.round)
-            .field("clients", &self.num_clients)
-            .field("servers", &self.num_servers)
-            .field("ideal", &self.model.is_ideal())
+            .field("round", &self.fate.round())
+            .field("servers", &self.uplinks.len())
+            .field("ideal", &self.fate.model().is_ideal())
             .finish()
     }
 }
@@ -342,29 +253,17 @@ impl NetTransport {
             handles.push(std::thread::spawn(move || server_actor(rx)));
         }
         let (router, router_rx) = sync_channel(bound);
-        handles.push(std::thread::spawn(move || router_actor(router_rx, seed, model)));
+        handles.push(std::thread::spawn(move || router_actor(router_rx)));
         NetTransport {
             seed,
-            num_clients,
-            num_servers,
-            model,
+            fate: LinkFate::new(seed, num_clients, num_servers, model),
             coalesce: coalesce.max(1),
-            fault_plan: FaultPlan::none(),
-            upload_drop_rate: 0.0,
-            round: 0,
-            model_len: 0,
-            recipients: num_clients,
-            pending_recipients: None,
-            round_open: false,
-            drop_rng: None,
-            net_threat: NetThreat::default(),
             corrupt_rng: None,
             uplinks,
             router,
             handles,
             pending: (0..num_servers).map(|_| Vec::new()).collect(),
-            outboxes: vec![VecDeque::new(); num_servers],
-            comm: CommStats::new(),
+            routed: Vec::new(),
             stats: NetStats::default(),
             wire_error: None,
         }
@@ -372,7 +271,7 @@ impl NetTransport {
 
     /// The active network model.
     pub fn model(&self) -> &NetModel {
-        &self.model
+        self.fate.model()
     }
 
     /// Cumulative frame-level traffic counters.
@@ -386,33 +285,29 @@ impl NetTransport {
         self.wire_error.take()
     }
 
-    /// Realizes threat-scheduled frame corruption: with probability
-    /// `corrupt_rate` one deterministic-random bit of the frame's version
-    /// field is flipped in transit, so the receiver decodes a typed
-    /// [`WireError::Version`] and the whole payload is lost to the round —
-    /// the error emerges from the wire, not from injection at the inbox.
-    fn maybe_corrupt(&mut self, bytes: &mut [u8]) {
+    /// Encodes `frame` and realizes threat-scheduled corruption: with
+    /// probability `corrupt_rate` one deterministic-random bit of the
+    /// frame's version field is flipped in transit, so the receiver decodes
+    /// a typed [`WireError::Version`] and the whole payload is lost to the
+    /// round — the error emerges from the wire, not from injection at the
+    /// inbox. Returns the bytes and whether they were corrupted.
+    fn encode(&mut self, frame: &Frame) -> (Vec<u8>, bool) {
+        let mut bytes = encode_frame(frame);
+        self.stats.frames_sent += 1;
+        self.stats.frame_bytes += bytes.len() as u64;
+        let rate = self.fate.net_threat().corrupt_rate;
         let Some(rng) = &mut self.corrupt_rng else {
-            return;
+            return (bytes, false);
         };
-        if bytes.len() < 6 || !rng.gen_bool(self.net_threat.corrupt_rate) {
-            return;
+        if bytes.len() < 6 || !rng.gen_bool(rate) {
+            return (bytes, false);
         }
         // The version field is bytes 4..6 of the encoded frame; flipping
         // any of its 16 bits guarantees a decode-time version mismatch.
         let bit = rng.gen_range(0..16usize);
         bytes[4 + bit / 8] ^= 1 << (bit % 8);
         self.stats.corrupted_frames += 1;
-    }
-
-    fn send_frame_to_server(&mut self, server: usize, frame: &Frame) {
-        let mut bytes = encode_frame(frame);
-        self.maybe_corrupt(&mut bytes);
-        self.stats.frames_sent += 1;
-        self.stats.frame_bytes += bytes.len() as u64;
-        // A send can only fail if the actor died, which only happens at
-        // shutdown; losing the frame then is fine.
-        let _ = self.uplinks[server].send(ServerMsg::Frame(bytes));
+        (bytes, true)
     }
 
     fn flush_uplink(&mut self, server: usize) {
@@ -420,7 +315,7 @@ impl NetTransport {
             return;
         }
         let pending = std::mem::take(&mut self.pending[server]);
-        let round = self.round as u32;
+        let round = self.fate.round() as u32;
         let frame = if pending.len() == 1 {
             let u = pending.into_iter().next().expect("len checked");
             Frame::Upload {
@@ -445,44 +340,14 @@ impl NetTransport {
                     .collect(),
             }
         };
-        self.send_frame_to_server(server, &frame);
-    }
-
-    /// The accounting + loss draws of one upload attempt, in the exact
-    /// order of [`crate::LocalTransport::route_upload`], plus the network
-    /// model's delay/deadline arithmetic. Returns the realized fate and
-    /// the modelled arrival time.
-    fn route_net_upload(&mut self, client: usize, server: usize) -> (DeliveryOutcome, u64) {
-        self.comm.record_uploads(1, self.model_len);
-        let channel_loss = match &mut self.drop_rng {
-            Some(rng) => rng.gen_bool(self.upload_drop_rate),
-            None => false,
-        };
-        if channel_loss
-            || self.fault_plan.is_crashed(server, self.round)
-            || self.net_threat.is_partitioned(server)
-        {
-            self.comm.record_dropped_upload();
-            return (DeliveryOutcome::Dropped, 0);
-        }
-        let arrival = self.model.link_delay_ms(
-            self.seed,
-            self.round,
-            uplink_id(client, server),
-            (self.model_len * 4) as u64,
-        );
-        if self.model.misses_deadline(arrival) {
-            // The payload is in flight but too late for this round's
-            // aggregation: lost to the round, and a recorded miss.
-            self.comm.record_dropped_upload();
-            self.comm.record_deadline_miss();
-            return (DeliveryOutcome::Delayed, arrival);
-        }
-        (DeliveryOutcome::Delivered, arrival)
+        let (bytes, _) = self.encode(&frame);
+        // A send can only fail if the actor died, which only happens at
+        // shutdown; losing the frame then is fine.
+        let _ = self.uplinks[server].send(ServerMsg::Frame(bytes));
     }
 
     fn send_net_upload(&mut self, upload: Upload) -> (DeliveryOutcome, u64) {
-        let (outcome, arrival) = self.route_net_upload(upload.client, upload.server);
+        let (outcome, arrival) = self.fate.uplink(upload.client, upload.server);
         if outcome == DeliveryOutcome::Delivered {
             self.pending[upload.server].push(PendingUpload {
                 client: upload.client,
@@ -495,6 +360,18 @@ impl NetTransport {
         }
         (outcome, arrival)
     }
+
+    /// Waits for an actor's reply, keeping its first decode error. A dead
+    /// actor (only possible at shutdown) yields nothing.
+    fn collect<T>(&mut self, rx: Receiver<Reply<T>>) -> Vec<T> {
+        let Ok(reply) = rx.recv() else {
+            return Vec::new();
+        };
+        if let Some(e) = reply.error {
+            self.wire_error.get_or_insert(e);
+        }
+        reply.items
+    }
 }
 
 impl Transport for NetTransport {
@@ -503,28 +380,14 @@ impl Transport for NetTransport {
     }
 
     fn begin_round(&mut self, round: usize, model_len: usize) {
-        self.round = round;
-        self.model_len = model_len;
-        self.comm = CommStats::new();
-        self.round_open = true;
-        self.recipients = match self.pending_recipients.take() {
-            Some(n) => n.min(self.num_clients),
-            None => self.num_clients,
-        };
-        for s in 0..self.num_servers {
+        self.fate.begin_round(round, model_len);
+        for s in 0..self.uplinks.len() {
             self.pending[s].clear();
             let _ = self.uplinks[s].send(ServerMsg::Begin { round });
         }
-        let _ = self.router.send(RouterMsg::Begin {
-            round,
-            omission: self.fault_plan.downlink_omission,
-            duplicate: self.fault_plan.duplicate_rate,
-            lossy: self.fault_plan.lossy_downlink(),
-            partitioned: self.net_threat.partitioned.clone(),
-        });
-        self.drop_rng =
-            (self.upload_drop_rate > 0.0).then(|| rng_for(self.seed, &[DROP_LABEL, round as u64]));
-        self.corrupt_rng = (self.net_threat.corrupt_rate > 0.0)
+        self.routed.clear();
+        let _ = self.router.send(RouterMsg::Begin { round });
+        self.corrupt_rng = (self.fate.net_threat().corrupt_rate > 0.0)
             .then(|| rng_for(self.seed, &[CORRUPT_LABEL, round as u64]));
     }
 
@@ -535,63 +398,30 @@ impl Transport for NetTransport {
     fn send_upload_tracked(&mut self, upload: Upload) -> UploadReport {
         let server = upload.server;
         let (outcome, arrival) = self.send_net_upload(upload);
-        let mut report = UploadReport::direct(outcome, server);
-        report.elapsed_ms = arrival;
-        report.deadline_missed = outcome == DeliveryOutcome::Delayed;
-        report
+        UploadReport {
+            elapsed_ms: arrival,
+            deadline_missed: outcome == DeliveryOutcome::Delayed,
+            ..UploadReport::direct(outcome, server)
+        }
     }
 
     // `supports_streaming` stays `false`: a networked transport must move
     // the payload itself, so the engine uses buffered per-server inboxes
-    // (and the PR-3 recovery decorator composes unchanged on top).
-
-    fn set_round_recipients(&mut self, recipients: usize) {
-        if self.round_open {
-            self.recipients = recipients.min(self.num_clients);
-        } else {
-            self.pending_recipients = Some(recipients);
-        }
-    }
-
-    fn server_online(&self, server: usize) -> bool {
-        !self.fault_plan.is_crashed(server, self.round)
-    }
-
-    fn release_aggregate(
-        &mut self,
-        server: usize,
-        aggregate: Tensor,
-    ) -> (DeliveryOutcome, Option<Tensor>) {
-        // Straggling is the *sum* of injected delay (FaultPlan) and
-        // emergent processing lag (NetModel); under the ideal model the
-        // arithmetic collapses to LocalTransport's exactly.
-        let injected = self.fault_plan.straggler_delay(server).unwrap_or(0);
-        let emergent = self.model.server_lag_rounds(self.seed, self.round, server);
-        let delay = injected + emergent;
-        if delay == 0 {
-            return (DeliveryOutcome::Delivered, Some(aggregate));
-        }
-        let outbox = &mut self.outboxes[server];
-        outbox.push_back(aggregate);
-        if outbox.len() > delay {
-            (DeliveryOutcome::Delayed, outbox.pop_front())
-        } else {
-            (DeliveryOutcome::Delayed, None)
-        }
-    }
+    // (and the recovery decorator composes unchanged on top).
 
     fn broadcast(&mut self, message: Broadcast) -> Result<()> {
-        message.model.check_coverage(self.num_clients)?;
-        self.comm.record_downloads(self.recipients as u64, self.model_len);
+        self.fate.admit_broadcast(&message)?;
+        let server = message.server;
         let frame = Frame::Broadcast {
-            round: self.round as u32,
-            server: message.server as u32,
+            round: self.fate.round() as u32,
+            server: server as u32,
             model: message.model,
         };
-        let mut bytes = encode_frame(&frame);
-        self.maybe_corrupt(&mut bytes);
-        self.stats.frames_sent += 1;
-        self.stats.frame_bytes += bytes.len() as u64;
+        let (bytes, corrupted) = self.encode(&frame);
+        // A corrupted frame never decodes, so the router will not store it.
+        if !corrupted {
+            self.routed.push(server);
+        }
         let _ = self.router.send(RouterMsg::Frame(bytes));
         Ok(())
     }
@@ -602,74 +432,23 @@ impl Transport for NetTransport {
         if self.uplinks[server].send(ServerMsg::TakeInbox { reply: tx }).is_err() {
             return Vec::new();
         }
-        match rx.recv() {
-            Ok(reply) => {
-                if let Some(e) = reply.error {
-                    self.wire_error.get_or_insert(e);
-                }
-                reply.models
-            }
-            Err(_) => Vec::new(),
-        }
+        self.collect(rx)
     }
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
+        let copies = self.routed.iter().map(|&s| self.fate.downlink(s, client)).collect();
         let (tx, rx) = channel();
-        if self.router.send(RouterMsg::Drain { client, reply: tx }).is_err() {
+        if self.router.send(RouterMsg::Drain { client, copies, reply: tx }).is_err() {
             return Vec::new();
         }
-        let Ok(reply) = rx.recv() else {
-            return Vec::new();
-        };
-        if let Some(e) = reply.error {
-            self.wire_error.get_or_insert(e);
-        }
-        for _ in 0..reply.dropped {
-            self.comm.record_dropped_download();
-        }
-        for _ in 0..reply.duplicated {
-            self.comm.record_duplicated_download(self.model_len);
-        }
-        for _ in 0..reply.deadline_missed {
-            self.comm.record_deadline_miss();
-        }
-        reply.deliveries
-    }
-
-    fn take_comm(&mut self) -> CommStats {
-        self.round_open = false;
-        std::mem::take(&mut self.comm)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
-        plan.validate(self.num_servers)?;
-        self.fault_plan = plan;
-        Ok(())
-    }
-
-    fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    fn set_upload_drop_rate(&mut self, rate: f64) -> Result<()> {
-        if !(rate.is_finite() && (0.0..1.0).contains(&rate)) {
-            return Err(SimError::BadConfig(format!("drop rate must be in [0, 1), got {rate}")));
-        }
-        self.upload_drop_rate = rate;
-        Ok(())
+        self.collect(rx)
     }
 
     fn set_net_threat(&mut self, threat: NetThreat) {
-        self.net_threat = threat;
+        self.fate.set_net_threat(threat);
     }
 
-    fn state_snapshot(&self) -> Vec<Vec<Tensor>> {
-        self.outboxes.iter().map(|q| q.iter().cloned().collect()).collect()
-    }
-
-    fn restore_state(&mut self, outboxes: Vec<Vec<Tensor>>) {
-        self.outboxes = outboxes.into_iter().map(VecDeque::from).collect();
-    }
+    delegate_to_fate!();
 }
 
 impl Drop for NetTransport {
@@ -687,7 +466,6 @@ impl Drop for NetTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServerFault;
 
     fn up(client: usize, server: usize, v: f32) -> Upload {
         Upload { client, server, model: Tensor::from_slice(&[v, v]) }
@@ -729,23 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn crashed_recipient_drops_and_accounts_like_local() {
-        let mut t = NetTransport::new(1, 4, 3, NetModel::ideal());
-        t.install_fault_plan(FaultPlan {
-            server_faults: vec![ServerFault::None, ServerFault::Crash { round: 1 }],
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(1, 2);
-        assert_eq!(t.send_upload(up(0, 1, 1.0)), DeliveryOutcome::Dropped);
-        assert!(!t.server_online(1));
-        assert!(t.take_inbox(1).is_empty());
-        let comm = t.take_comm();
-        assert_eq!(comm.upload_messages, 1);
-        assert_eq!(comm.dropped_uploads, 1);
-    }
-
-    #[test]
     fn tight_deadline_produces_delayed_uploads_without_a_fault_plan() {
         // 2-parameter model = 8 bytes; at 1 byte/ms that is 8 ms transfer
         // against a 5 ms deadline: every upload misses, produced purely by
@@ -761,21 +522,6 @@ mod tests {
         let comm = t.take_comm();
         assert_eq!(comm.deadline_misses, 1);
         assert_eq!(comm.dropped_uploads, 1);
-    }
-
-    #[test]
-    fn server_lag_produces_delayed_aggregates_without_a_fault_plan() {
-        let model = NetModel { server_lag_ms: 500, round_ms: 100, ..NetModel::ideal() };
-        let mut t = NetTransport::new(3, 4, 1, model);
-        let mut delayed = 0;
-        for round in 0..12 {
-            t.begin_round(round, 1);
-            let (o, _) = t.release_aggregate(0, Tensor::from_slice(&[round as f32]));
-            if o == DeliveryOutcome::Delayed {
-                delayed += 1;
-            }
-        }
-        assert!(delayed > 0, "a 5-round mean lag must delay some aggregate in 12 rounds");
     }
 
     #[test]
@@ -883,22 +629,5 @@ mod tests {
         let (survivors, corrupted) = run(3);
         assert!(corrupted > 0, "rate 0.5 over 24 uploads must corrupt something");
         assert!(survivors.iter().any(|&n| n > 0), "and some frames must survive");
-    }
-
-    #[test]
-    fn outboxes_roundtrip_through_snapshots() {
-        let mut t = NetTransport::new(1, 4, 2, NetModel::ideal());
-        t.install_fault_plan(FaultPlan {
-            server_faults: vec![ServerFault::Straggler { delay: 2 }, ServerFault::None],
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(0, 1);
-        t.release_aggregate(0, Tensor::from_slice(&[7.0]));
-        let state = t.state_snapshot();
-        assert_eq!(state[0].len(), 1);
-        let mut r = NetTransport::new(1, 4, 2, NetModel::ideal());
-        r.restore_state(state.clone());
-        assert_eq!(r.state_snapshot(), state);
     }
 }

@@ -34,6 +34,7 @@
 //! [`RecoveryPolicy::round_deadline_ms`] the exchange stops with a
 //! recorded deadline miss instead of retrying forever.
 
+use fedms_tensor::pool::BufferPool;
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
 use rand::Rng;
@@ -261,8 +262,9 @@ impl UploadReport {
 ///   online server with the cleanest delivery record, ties broken by ring
 ///   distance from the original target.
 /// * **Downlink** — [`Transport::drain_deliveries`] repairs omission
-///   losses: any queued broadcast that did not reach this client is
-///   retransmitted up to the budget, each retransmission a fresh
+///   losses: any queued broadcast that did not reach this client, unless
+///   its server is partitioned, is retransmitted up to the budget (pooled
+///   drains too), each retransmission a fresh
 ///   seed-deterministic Bernoulli draw against the plan's omission rate,
 ///   paid for in [`CommStats`] like any other message.
 ///
@@ -279,6 +281,9 @@ pub struct ResilientTransport<T: Transport> {
     model_len: usize,
     /// This round's queued disseminations, mirrored for downlink repair.
     queued: Vec<(usize, Dissemination)>,
+    /// The forwarded network threat: a retransmission crosses the same
+    /// link as the first copy, so a partitioned server is never repaired.
+    net_threat: NetThreat,
     /// Consecutive failed exchanges per server (0 = healthy record); the
     /// failover selector prefers low counts. Evolves across rounds and is
     /// checkpointed.
@@ -323,6 +328,7 @@ impl<T: Transport> ResilientTransport<T> {
             round: 0,
             model_len: 0,
             queued: Vec::new(),
+            net_threat: NetThreat::default(),
             suspicion: vec![0; num_servers],
             extra: CommStats::new(),
         })
@@ -432,7 +438,9 @@ impl<T: Transport> ResilientTransport<T> {
     }
 
     /// Repairs omission losses on one client's downlink: every queued
-    /// broadcast that did not arrive is retransmitted up to the budget.
+    /// broadcast that did not arrive is retransmitted up to the budget,
+    /// except a partitioned server's — its link is cut for every copy, so
+    /// it is skipped before any draw, as in the first delivery.
     fn repair_downlink(&mut self, client: usize, deliveries: &mut Vec<Delivery>) {
         let omission = self.inner.fault_plan().downlink_omission;
         if self.policy.retry_budget == 0 || omission <= 0.0 {
@@ -441,7 +449,7 @@ impl<T: Transport> ResilientTransport<T> {
         let arrived: Vec<usize> = deliveries.iter().map(|d| d.server).collect();
         for qi in 0..self.queued.len() {
             let server = self.queued[qi].0;
-            if arrived.contains(&server) {
+            if arrived.contains(&server) || self.net_threat.is_partitioned(server) {
                 continue;
             }
             let link = downlink_id(server, client);
@@ -544,6 +552,12 @@ impl<T: Transport> Transport for ResilientTransport<T> {
         deliveries
     }
 
+    fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
+        let mut deliveries = self.inner.drain_deliveries_pooled(client, pool);
+        self.repair_downlink(client, &mut deliveries);
+        deliveries
+    }
+
     fn take_comm(&mut self) -> CommStats {
         let mut comm = self.inner.take_comm();
         comm += std::mem::take(&mut self.extra);
@@ -565,6 +579,7 @@ impl<T: Transport> Transport for ResilientTransport<T> {
     fn set_net_threat(&mut self, threat: NetThreat) {
         // The trait default swallows the threat; a decorator must hand it
         // to whatever transport actually owns the wire.
+        self.net_threat = threat.clone();
         self.inner.set_net_threat(threat);
     }
 

@@ -18,8 +18,8 @@
 //!   set from [`crate::Topology`] is permanent.
 //! * **Partition** — at the network layer, the scheduled servers become
 //!   unreachable: uploads to them are dropped at the sender and their
-//!   disseminations never leave the router. Partitions are realized by
-//!   [`crate::net::NetTransport`] (there is a wire to cut);
+//!   disseminations reach no client. Partitions are realized by the link
+//!   fate of [`crate::net::NetTransport`] (there is a wire to cut);
 //!   [`crate::LocalTransport`] models no wire and ignores them.
 //! * **Corruption** — each frame on the wire is independently corrupted
 //!   with probability `corrupt_rate` (a seed-deterministic bit flip in the

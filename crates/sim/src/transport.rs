@@ -12,42 +12,29 @@
 //!   [`crate::SimulationEngine`]'s phase pipeline runs over,
 //! * [`LocalTransport`] — the seed-deterministic in-process implementation.
 //!
-//! `LocalTransport` absorbs the *entire* benign-fault realization of a
-//! [`FaultPlan`] — crash silence, straggler outboxes, uplink channel loss,
-//! downlink omission and duplication — together with all [`CommStats`]
-//! accounting, so the engine and its phases never touch a fault branch or a
-//! byte counter directly. Alternate delivery models (a lossier WAN, a
-//! future async/networked backend) drop in by implementing [`Transport`]
-//! and handing the implementation to
+//! `LocalTransport` only moves data: per-server inboxes and a queue of
+//! disseminations. Every fault decision — crash silence, straggler
+//! outboxes, uplink channel loss, downlink omission and duplication — and
+//! all [`CommStats`] accounting belong to the crate's single `LinkFate`
+//! (`link.rs`, DESIGN.md §7), which `crate::net::NetTransport` owns too,
+//! so the engine and its phases never touch a fault branch or a byte
+//! counter directly. Alternate delivery models drop in by implementing
+//! [`Transport`] and handing the implementation to
 //! [`crate::SimulationEngine::set_transport`].
 //!
-//! Determinism: all transport randomness derives from the run seed and the
-//! round index (`"DROP"` stream for uplink channel loss, `"OMIT"` stream
-//! for downlink omission/duplication), and the RNGs are only instantiated
-//! when the corresponding loss probability is non-zero — a trivial plan is
-//! bit-identical to no plan at all, and every faulty run replays exactly
-//! from `(config, seed)`.
-
-use std::collections::VecDeque;
+//! Determinism: every fate is a pure function of `(seed, round, link)`
+//! drawn in the order the `LinkFate` docs state; a trivial plan draws
+//! nothing and is bit-identical to no plan at all.
 
 use fedms_tensor::pool::BufferPool;
-use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::link::{delegate_to_fate, push_copies, LinkFate};
+use crate::net::NetModel;
 use crate::recovery::UploadReport;
 use crate::threat::NetThreat;
 use crate::{CommStats, FaultPlan, Result, SimError};
-
-/// RNG label for uplink channel loss ("DROP"). Shared with
-/// [`crate::net::NetTransport`], which must replay the identical stream
-/// for Local≡Net equivalence.
-pub(crate) const DROP_LABEL: u64 = 0x44_52_4F_50;
-/// RNG label for downlink omission/duplication ("OMIT"); shared like
-/// [`DROP_LABEL`].
-pub(crate) const OMIT_LABEL: u64 = 0x4F_4D_49_54;
 
 /// What a server sends out in the dissemination stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,43 +293,21 @@ pub trait Transport: Send {
 /// Reproduces the paper's synchronous, reliable network by default; with a
 /// [`FaultPlan`] installed it realizes crash silence, straggler delays and
 /// lossy/duplicating downlinks exactly as described in DESIGN.md §6, with
-/// every random draw a pure function of `(seed, round, link)`.
+/// every random draw a pure function of `(seed, round, link)`. It models
+/// no wire: its fate runs under [`NetModel::ideal`] and it ignores
+/// [`Transport::set_net_threat`].
 pub struct LocalTransport {
-    seed: u64,
-    num_clients: usize,
-    num_servers: usize,
-    fault_plan: FaultPlan,
-    upload_drop_rate: f64,
-    round: usize,
-    model_len: usize,
-    /// Clients receiving this round's disseminations (download
-    /// accounting); the full federation unless the engine samples a
-    /// smaller cohort.
-    recipients: usize,
-    /// A cohort size declared *before* the round opened, applied by the
-    /// next [`Transport::begin_round`] instead of being silently reset.
-    pending_recipients: Option<usize>,
-    /// Whether a round is open (between `begin_round` and `take_comm`);
-    /// gates whether `set_round_recipients` applies now or at next round.
-    round_open: bool,
-    drop_rng: Option<StdRng>,
-    downlink_rng: Option<StdRng>,
+    fate: LinkFate,
     inboxes: Vec<Vec<Tensor>>,
     queued: Vec<Broadcast>,
-    /// Aggregates awaiting delayed dissemination per straggler server,
-    /// oldest first (FIFO, popped front). Persists across rounds
-    /// (checkpointed state).
-    outboxes: Vec<VecDeque<Tensor>>,
-    comm: CommStats,
 }
 
 impl std::fmt::Debug for LocalTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalTransport")
-            .field("round", &self.round)
-            .field("clients", &self.num_clients)
-            .field("servers", &self.num_servers)
-            .field("faulty", &!self.fault_plan.is_trivial())
+            .field("round", &self.fate.round())
+            .field("servers", &self.inboxes.len())
+            .field("faulty", &!self.fate.fault_plan().is_trivial())
             .finish()
     }
 }
@@ -352,29 +317,15 @@ impl LocalTransport {
     /// federation, deriving all channel randomness from `seed`.
     pub fn new(seed: u64, num_clients: usize, num_servers: usize) -> Self {
         LocalTransport {
-            seed,
-            num_clients,
-            num_servers,
-            fault_plan: FaultPlan::none(),
-            upload_drop_rate: 0.0,
-            round: 0,
-            model_len: 0,
-            recipients: num_clients,
-            pending_recipients: None,
-            round_open: false,
-            drop_rng: None,
-            downlink_rng: None,
+            fate: LinkFate::new(seed, num_clients, num_servers, NetModel::ideal()),
             inboxes: vec![Vec::new(); num_servers],
             queued: Vec::new(),
-            outboxes: vec![VecDeque::new(); num_servers],
-            comm: CommStats::new(),
         }
     }
 
-    /// Shared downlink realization; `materialize` copies a queued model
-    /// into its delivered form (a plain clone, or a pooled copy whose
-    /// storage the filter phase recycles). The fault draws and accounting
-    /// are identical either way.
+    /// Copies out `client`'s realized downlink; `materialize` turns a
+    /// queued model into its delivered form (a plain clone, or a pooled
+    /// copy whose storage the filter phase recycles).
     fn drain_with<F: FnMut(&Tensor) -> Tensor>(
         &mut self,
         client: usize,
@@ -388,37 +339,8 @@ impl LocalTransport {
                 debug_assert!(false, "queued dissemination misses client {client}");
                 continue;
             };
-            if let Some(rng) = &mut self.downlink_rng {
-                if self.fault_plan.downlink_omission > 0.0
-                    && rng.gen_bool(self.fault_plan.downlink_omission)
-                {
-                    self.comm.record_dropped_download();
-                    continue;
-                }
-                out.push(Delivery {
-                    server: b.server,
-                    model: materialize(model),
-                    outcome: DeliveryOutcome::Delivered,
-                });
-                if self.fault_plan.duplicate_rate > 0.0
-                    && rng.gen_bool(self.fault_plan.duplicate_rate)
-                {
-                    // Delivered twice: double filter weight, and the
-                    // network carried it twice.
-                    self.comm.record_duplicated_download(self.model_len);
-                    out.push(Delivery {
-                        server: b.server,
-                        model: materialize(model),
-                        outcome: DeliveryOutcome::Duplicated,
-                    });
-                }
-            } else {
-                out.push(Delivery {
-                    server: b.server,
-                    model: materialize(model),
-                    outcome: DeliveryOutcome::Delivered,
-                });
-            }
+            let copies = self.fate.downlink(b.server, client);
+            push_copies(&mut out, b.server, copies, || materialize(model));
         }
         out
     }
@@ -430,36 +352,15 @@ impl Transport for LocalTransport {
     }
 
     fn begin_round(&mut self, round: usize, model_len: usize) {
-        self.round = round;
-        self.model_len = model_len;
+        self.fate.begin_round(round, model_len);
         for inbox in &mut self.inboxes {
             inbox.clear();
         }
         self.queued.clear();
-        self.comm = CommStats::new();
-        self.round_open = true;
-        // A cohort declared before the round opened takes effect now
-        // instead of being silently reset to the full federation.
-        self.recipients = match self.pending_recipients.take() {
-            Some(n) => n.min(self.num_clients),
-            None => self.num_clients,
-        };
-        // The loss streams are derived per round so any round is replayable
-        // in isolation; they are only instantiated (and drawn from) when
-        // the corresponding probability is non-zero, keeping the reliable
-        // path bit-identical to the pre-fault engine.
-        self.drop_rng =
-            (self.upload_drop_rate > 0.0).then(|| rng_for(self.seed, &[DROP_LABEL, round as u64]));
-        self.downlink_rng = self
-            .fault_plan
-            .lossy_downlink()
-            .then(|| rng_for(self.seed, &[OMIT_LABEL, round as u64]));
     }
 
     fn send_upload(&mut self, upload: Upload) -> DeliveryOutcome {
-        let outcome = self
-            .route_upload(upload.client, upload.server)
-            .expect("local transport routes uploads");
+        let (outcome, _) = self.fate.uplink(upload.client, upload.server);
         if outcome == DeliveryOutcome::Delivered {
             self.inboxes[upload.server].push(upload.model);
         }
@@ -470,59 +371,12 @@ impl Transport for LocalTransport {
         true
     }
 
-    fn route_upload(&mut self, _client: usize, server: usize) -> Option<DeliveryOutcome> {
-        // The sender pays for the attempt whether or not it lands.
-        self.comm.record_uploads(1, self.model_len);
-        // The channel draw happens regardless of the recipient's health, so
-        // a fault plan perturbs nothing else.
-        let channel_loss = match &mut self.drop_rng {
-            Some(rng) => rng.gen_bool(self.upload_drop_rate),
-            None => false,
-        };
-        Some(if channel_loss || self.fault_plan.is_crashed(server, self.round) {
-            self.comm.record_dropped_upload();
-            DeliveryOutcome::Dropped
-        } else {
-            DeliveryOutcome::Delivered
-        })
-    }
-
-    fn set_round_recipients(&mut self, recipients: usize) {
-        if self.round_open {
-            self.recipients = recipients.min(self.num_clients);
-        } else {
-            // Declared between rounds: defer to the next `begin_round` so
-            // its reset cannot silently overwrite the declaration.
-            self.pending_recipients = Some(recipients);
-        }
-    }
-
-    fn server_online(&self, server: usize) -> bool {
-        !self.fault_plan.is_crashed(server, self.round)
-    }
-
-    fn release_aggregate(
-        &mut self,
-        server: usize,
-        aggregate: Tensor,
-    ) -> (DeliveryOutcome, Option<Tensor>) {
-        match self.fault_plan.straggler_delay(server) {
-            Some(delay) => {
-                let outbox = &mut self.outboxes[server];
-                outbox.push_back(aggregate);
-                if outbox.len() > delay {
-                    (DeliveryOutcome::Delayed, outbox.pop_front())
-                } else {
-                    (DeliveryOutcome::Delayed, None)
-                }
-            }
-            None => (DeliveryOutcome::Delivered, Some(aggregate)),
-        }
+    fn route_upload(&mut self, client: usize, server: usize) -> Option<DeliveryOutcome> {
+        Some(self.fate.uplink(client, server).0)
     }
 
     fn broadcast(&mut self, message: Broadcast) -> Result<()> {
-        message.model.check_coverage(self.num_clients)?;
-        self.comm.record_downloads(self.recipients as u64, self.model_len);
+        self.fate.admit_broadcast(&message)?;
         self.queued.push(message);
         Ok(())
     }
@@ -539,42 +393,12 @@ impl Transport for LocalTransport {
         self.drain_with(client, |m| pool.fetch_tensor(m))
     }
 
-    fn take_comm(&mut self) -> CommStats {
-        self.round_open = false;
-        std::mem::take(&mut self.comm)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
-        plan.validate(self.num_servers)?;
-        self.fault_plan = plan;
-        Ok(())
-    }
-
-    fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    fn set_upload_drop_rate(&mut self, rate: f64) -> Result<()> {
-        if !(rate.is_finite() && (0.0..1.0).contains(&rate)) {
-            return Err(SimError::BadConfig(format!("drop rate must be in [0, 1), got {rate}")));
-        }
-        self.upload_drop_rate = rate;
-        Ok(())
-    }
-
-    fn state_snapshot(&self) -> Vec<Vec<Tensor>> {
-        self.outboxes.iter().map(|q| q.iter().cloned().collect()).collect()
-    }
-
-    fn restore_state(&mut self, outboxes: Vec<Vec<Tensor>>) {
-        self.outboxes = outboxes.into_iter().map(VecDeque::from).collect();
-    }
+    delegate_to_fate!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServerFault;
 
     fn plain(seed: u64) -> LocalTransport {
         let mut t = LocalTransport::new(seed, 4, 3);
@@ -600,74 +424,8 @@ mod tests {
         assert_eq!(comm.upload_messages, 2);
         assert_eq!(comm.upload_bytes, 2 * 4 * 2);
         assert_eq!(comm.dropped_uploads, 0);
-    }
-
-    #[test]
-    fn crashed_recipient_drops_uploads() {
-        let mut t = LocalTransport::new(1, 4, 3);
-        t.install_fault_plan(FaultPlan {
-            server_faults: vec![ServerFault::None, ServerFault::Crash { round: 1 }],
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(0, 2);
-        assert_eq!(t.send_upload(up(0, 1, 1.0)), DeliveryOutcome::Delivered);
-        assert!(t.server_online(1));
-        t.begin_round(1, 2);
-        assert_eq!(t.send_upload(up(0, 1, 1.0)), DeliveryOutcome::Dropped);
-        assert!(!t.server_online(1));
-        assert!(t.take_inbox(1).is_empty());
-        let comm = t.take_comm();
-        // The sender still pays for the dropped attempt.
-        assert_eq!(comm.upload_messages, 1);
-        assert_eq!(comm.dropped_uploads, 1);
-    }
-
-    #[test]
-    fn straggler_pipeline_delays_by_exactly_d_rounds() {
-        let mut t = LocalTransport::new(1, 4, 3);
-        t.install_fault_plan(FaultPlan {
-            server_faults: vec![ServerFault::Straggler { delay: 2 }],
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(0, 1);
-        // delay = 2: rounds 0 and 1 release nothing, round t ≥ 2 releases
-        // the aggregate from round t − 2.
-        let (o, m) = t.release_aggregate(0, Tensor::from_slice(&[0.0]));
-        assert_eq!((o, m), (DeliveryOutcome::Delayed, None));
-        let (o, m) = t.release_aggregate(0, Tensor::from_slice(&[1.0]));
-        assert_eq!((o, m), (DeliveryOutcome::Delayed, None));
-        let (o, m) = t.release_aggregate(0, Tensor::from_slice(&[2.0]));
-        assert_eq!(o, DeliveryOutcome::Delayed);
-        assert_eq!(m.unwrap().as_slice(), &[0.0]);
-        // A healthy server's aggregate flows straight through.
-        let (o, m) = t.release_aggregate(1, Tensor::from_slice(&[7.0]));
-        assert_eq!(o, DeliveryOutcome::Delivered);
-        assert_eq!(m.unwrap().as_slice(), &[7.0]);
-    }
-
-    #[test]
-    fn outbox_survives_snapshot_roundtrip() {
-        let mut t = LocalTransport::new(1, 4, 3);
-        let plan = FaultPlan {
-            server_faults: vec![ServerFault::Straggler { delay: 3 }],
-            ..FaultPlan::default()
-        };
-        t.install_fault_plan(plan.clone()).unwrap();
-        t.begin_round(0, 1);
-        t.release_aggregate(0, Tensor::from_slice(&[7.0]));
-        let state = t.state_snapshot();
-        assert_eq!(state[0].len(), 1);
-
-        let mut restored = LocalTransport::new(1, 4, 3);
-        restored.install_fault_plan(plan).unwrap();
-        restored.restore_state(state);
-        // The restored pipeline continues where the original left off.
-        assert!(restored.release_aggregate(0, Tensor::from_slice(&[8.0])).1.is_none());
-        assert!(restored.release_aggregate(0, Tensor::from_slice(&[9.0])).1.is_none());
-        let out = restored.release_aggregate(0, Tensor::from_slice(&[10.0])).1.unwrap();
-        assert_eq!(out.as_slice(), &[7.0]);
+        assert_eq!(t.name(), "local");
+        assert!(t.fault_plan().is_trivial());
     }
 
     #[test]
@@ -697,42 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_downlink_realizes_per_client_and_accounts() {
-        let mut t = LocalTransport::new(9, 16, 2);
-        t.install_fault_plan(FaultPlan {
-            downlink_omission: 0.4,
-            duplicate_rate: 0.4,
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(0, 1);
-        for s in 0..2 {
-            t.broadcast(Broadcast {
-                server: s,
-                model: Dissemination::Broadcast(Tensor::from_slice(&[s as f32])),
-            })
-            .unwrap();
-        }
-        let mut delivered = 0u64;
-        let mut duplicated = 0u64;
-        for k in 0..16 {
-            for d in t.drain_deliveries(k) {
-                match d.outcome {
-                    DeliveryOutcome::Delivered => delivered += 1,
-                    DeliveryOutcome::Duplicated => duplicated += 1,
-                    other => panic!("unexpected downlink outcome {other:?}"),
-                }
-            }
-        }
-        let comm = t.take_comm();
-        assert!(comm.dropped_downloads > 0, "40% omission must drop something");
-        assert!(duplicated > 0, "40% duplication must duplicate something");
-        assert_eq!(comm.duplicated_downloads, duplicated);
-        assert_eq!(comm.download_messages, 2 * 16 + duplicated);
-        assert_eq!(delivered, 2 * 16 - comm.dropped_downloads);
-    }
-
-    #[test]
     fn for_client_is_checked_not_panicking() {
         let d = Dissemination::PerClient(vec![Tensor::from_slice(&[1.0]); 2]);
         assert!(d.for_client(1).is_ok());
@@ -742,87 +464,5 @@ mod tests {
         );
         let b = Dissemination::Broadcast(Tensor::from_slice(&[2.0]));
         assert_eq!(b.for_client(99).unwrap().as_slice(), &[2.0]);
-    }
-
-    #[test]
-    fn recipients_declared_before_begin_round_survive_the_reset() {
-        // Regression: `begin_round` used to reset `recipients` back to the
-        // full federation, silently overcounting downlink bytes whenever
-        // the cohort was declared first.
-        let mut t = LocalTransport::new(1, 8, 2);
-        t.set_round_recipients(3);
-        t.begin_round(0, 2);
-        t.broadcast(Broadcast {
-            server: 0,
-            model: Dissemination::Broadcast(Tensor::from_slice(&[1.0, 1.0])),
-        })
-        .unwrap();
-        let comm = t.take_comm();
-        assert_eq!(comm.download_messages, 3, "pre-round cohort must not be reset");
-        assert_eq!(comm.download_bytes, 3 * 4 * 2);
-        // The declaration is consumed: the next round reverts to the full
-        // federation unless declared again.
-        t.begin_round(1, 2);
-        t.broadcast(Broadcast {
-            server: 0,
-            model: Dissemination::Broadcast(Tensor::from_slice(&[1.0, 1.0])),
-        })
-        .unwrap();
-        assert_eq!(t.take_comm().download_messages, 8);
-        // Declared mid-round (the engine's order) it still applies directly.
-        t.begin_round(2, 2);
-        t.set_round_recipients(5);
-        t.broadcast(Broadcast {
-            server: 0,
-            model: Dissemination::Broadcast(Tensor::from_slice(&[1.0, 1.0])),
-        })
-        .unwrap();
-        assert_eq!(t.take_comm().download_messages, 5);
-    }
-
-    #[test]
-    fn deque_outbox_matches_vec_remove_semantics() {
-        // Bit-exactness of the VecDeque straggler pipeline against the old
-        // `Vec::remove(0)` reference over a mixed push/pop schedule.
-        let delay = 3usize;
-        let mut t = LocalTransport::new(1, 4, 1);
-        t.install_fault_plan(FaultPlan {
-            server_faults: vec![ServerFault::Straggler { delay }],
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        t.begin_round(0, 1);
-        let mut reference: Vec<Vec<f32>> = Vec::new();
-        for i in 0..32 {
-            let v = (i * 7 % 13) as f32;
-            reference.push(vec![v]);
-            let expected = (reference.len() > delay).then(|| reference.remove(0));
-            let (o, m) = t.release_aggregate(0, Tensor::from_slice(&[v]));
-            assert_eq!(o, DeliveryOutcome::Delayed);
-            assert_eq!(m.map(|m| m.as_slice().to_vec()), expected);
-        }
-        // And the snapshot round-trip preserves FIFO order bit-exactly.
-        let state = t.state_snapshot();
-        assert_eq!(state[0].len(), delay);
-        let mut r = LocalTransport::new(1, 4, 1);
-        r.restore_state(state);
-        assert_eq!(r.state_snapshot(), t.state_snapshot());
-    }
-
-    #[test]
-    fn validation_of_plan_and_drop_rate() {
-        let mut t = LocalTransport::new(1, 4, 3);
-        assert!(t
-            .install_fault_plan(FaultPlan {
-                server_faults: vec![ServerFault::None; 5],
-                ..FaultPlan::default()
-            })
-            .is_err());
-        assert!(t.set_upload_drop_rate(1.0).is_err());
-        assert!(t.set_upload_drop_rate(-0.1).is_err());
-        assert!(t.set_upload_drop_rate(f64::NAN).is_err());
-        assert!(t.set_upload_drop_rate(0.5).is_ok());
-        assert_eq!(t.name(), "local");
-        assert!(t.fault_plan().is_trivial());
     }
 }

@@ -10,8 +10,9 @@ use fedms_nn::LrSchedule;
 use fedms_sim::ThreatSchedule;
 use fedms_sim::{
     uplink_id, Broadcast, CommStats, DegradedMode, DeliveryOutcome, Dissemination, EngineConfig,
-    FaultPlan, LocalTransport, ModelSpec, RecoveryPolicy, ResilientTransport, ServerFault,
-    SimError, SimulationEngine, Topology, Transport, Upload, UploadStrategy,
+    FaultPlan, LocalTransport, ModelSpec, NetModel, NetThreat, NetTransport, RecoveryPolicy,
+    ResilientTransport, ServerFault, SimError, SimulationEngine, Topology, Transport, Upload,
+    UploadStrategy,
 };
 use fedms_tensor::Tensor;
 use proptest::prelude::*;
@@ -253,6 +254,35 @@ fn recovery_delivers_strictly_more_models_per_round() {
     let up_off: usize = (0..rounds).map(|r| delivered(&trace_off, r, 0)).sum();
     let up_on: usize = (0..rounds).map(|r| delivered(&trace_on, r, 0)).sum();
     assert!(up_on > up_off, "30% uplink loss must cost the unprotected run some uploads");
+}
+
+/// Downlink repair never crosses a network partition: a partitioned
+/// server's dissemination is cut for the retransmission exactly as for the
+/// first copy, while omitted broadcasts of reachable servers are still
+/// repaired.
+#[test]
+fn downlink_repair_respects_network_partitions() {
+    let (clients, servers) = (8, 3);
+    let mut inner = NetTransport::new(23, clients, servers, NetModel::ideal());
+    inner.install_fault_plan(FaultPlan { downlink_omission: 0.3, ..FaultPlan::default() }).unwrap();
+    let policy =
+        RecoveryPolicy { retry_budget: 10, round_deadline_ms: 0, ..RecoveryPolicy::standard() };
+    let mut t = ResilientTransport::new(inner, policy, 23, clients, servers).unwrap();
+    t.set_net_threat(NetThreat { partitioned: vec![1], corrupt_rate: 0.0 });
+    t.begin_round(0, 2);
+    for s in 0..servers {
+        let model = Dissemination::Broadcast(Tensor::from_slice(&[s as f32, 0.0]));
+        t.broadcast(Broadcast { server: s, model }).unwrap();
+    }
+    let mut reached = [0usize; 3];
+    for k in 0..clients {
+        for d in t.drain_deliveries(k) {
+            reached[d.server] += 1;
+        }
+    }
+    assert_eq!(reached[1], 0, "the partitioned server's model must reach no client");
+    assert_eq!(reached[0] + reached[2], 2 * clients, "reachable servers are fully repaired");
+    assert!(t.take_comm().retried_downloads > 0, "30% omission must need retransmissions");
 }
 
 /// Builds an 8-client / 4-server engine with one Byzantine server and the

@@ -44,6 +44,33 @@ pub struct PoolStats {
 struct PoolInner {
     free: Vec<Vec<f32>>,
     stats: PoolStats,
+    /// Buffers currently checked out.
+    checked_out: usize,
+    /// Most buffers ever checked out at once: the free list never needs to
+    /// hold more, so `release` drops any buffer beyond it.
+    peak_checked_out: usize,
+}
+
+impl PoolInner {
+    /// Takes a buffer off the free list (or allocates one) and counts the
+    /// checkout of `len` elements.
+    fn checkout(&mut self, len: usize) -> Vec<f32> {
+        let buf = match self.free.pop() {
+            Some(b) => {
+                self.stats.reused += 1;
+                b
+            }
+            None => {
+                self.stats.allocated += 1;
+                Vec::with_capacity(len)
+            }
+        };
+        self.checked_out += 1;
+        self.peak_checked_out = self.peak_checked_out.max(self.checked_out);
+        self.stats.outstanding_bytes += 4 * len as u64;
+        self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.stats.outstanding_bytes);
+        buf
+    }
 }
 
 /// A thread-safe free list of `Vec<f32>` buffers.
@@ -74,21 +101,7 @@ impl BufferPool {
     /// Returns a buffer holding a copy of `data`, recycling freed storage
     /// when available.
     pub fn fetch(&self, data: &[f32]) -> Vec<f32> {
-        let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        let mut buf = match inner.free.pop() {
-            Some(b) => {
-                inner.stats.reused += 1;
-                b
-            }
-            None => {
-                inner.stats.allocated += 1;
-                Vec::with_capacity(data.len())
-            }
-        };
-        inner.stats.outstanding_bytes += 4 * data.len() as u64;
-        inner.stats.high_water_bytes =
-            inner.stats.high_water_bytes.max(inner.stats.outstanding_bytes);
-        drop(inner);
+        let mut buf = self.inner.lock().expect("buffer pool poisoned").checkout(data.len());
         buf.clear();
         buf.extend_from_slice(data);
         buf
@@ -98,33 +111,25 @@ impl BufferPool {
     /// storage when available. Value-transparent: the result is
     /// bit-identical to `vec![0.0f32; len]`.
     pub fn fetch_zeroed(&self, len: usize) -> Vec<f32> {
-        let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        let mut buf = match inner.free.pop() {
-            Some(b) => {
-                inner.stats.reused += 1;
-                b
-            }
-            None => {
-                inner.stats.allocated += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        inner.stats.outstanding_bytes += 4 * len as u64;
-        inner.stats.high_water_bytes =
-            inner.stats.high_water_bytes.max(inner.stats.outstanding_bytes);
-        drop(inner);
+        let mut buf = self.inner.lock().expect("buffer pool poisoned").checkout(len);
         buf.clear();
         buf.resize(len, 0.0);
         buf
     }
 
-    /// Returns a buffer to the free list for later reuse.
+    /// Returns a buffer to the free list for later reuse. The free list
+    /// holds at most as many buffers as were ever checked out at once, so
+    /// releasing storage the pool never handed out cannot grow it without
+    /// bound; such surplus buffers are simply freed.
     pub fn release(&self, buf: Vec<f32>) {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         inner.stats.released += 1;
         inner.stats.outstanding_bytes =
             inner.stats.outstanding_bytes.saturating_sub(4 * buf.len() as u64);
-        inner.free.push(buf);
+        inner.checked_out = inner.checked_out.saturating_sub(1);
+        if inner.free.len() < inner.peak_checked_out {
+            inner.free.push(buf);
+        }
     }
 
     /// Copies `src` into a pooled rank-preserving tensor.
@@ -208,6 +213,25 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.allocated, 1);
         assert_eq!(s.reused, 1);
+    }
+
+    #[test]
+    fn releasing_foreign_buffers_does_not_grow_the_free_list() {
+        let pool = BufferPool::new();
+        for _ in 0..8 {
+            pool.release(vec![0.0; 16]);
+        }
+        assert_eq!(pool.free_len(), 0, "never-handed-out buffers are dropped");
+        assert_eq!(pool.stats().released, 8);
+        // Once two buffers were out at once, the list keeps up to two.
+        let a = pool.fetch(&[1.0]);
+        let b = pool.fetch(&[2.0]);
+        pool.release(a);
+        pool.release(b);
+        for _ in 0..8 {
+            pool.release(vec![0.0; 16]);
+        }
+        assert_eq!(pool.free_len(), 2);
     }
 
     #[test]
