@@ -8,9 +8,9 @@
 //!
 //! Usage: `cargo run --release -p fedms-bench --bin fig4`
 
-use fedms_bench::save_json;
 use fedms_core::Result;
 use fedms_data::{mean_tv_distance, DirichletPartitioner, LabelHistogram, SynthVisionConfig};
+use fedms_exp::save_json;
 use serde::Serialize;
 
 #[derive(Serialize)]

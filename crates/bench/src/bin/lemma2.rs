@@ -10,8 +10,8 @@
 //! Usage: `cargo run --release -p fedms-bench --bin lemma2`
 
 use fedms_aggregation::trimmed_mean_scalars;
-use fedms_bench::save_json;
 use fedms_core::Result;
+use fedms_exp::save_json;
 use fedms_tensor::rng::rng_for;
 use rand_distr::{Distribution, Normal};
 use serde::Serialize;

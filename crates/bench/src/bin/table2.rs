@@ -1,14 +1,16 @@
 //! Table II: the summary of important experiment settings, printed from the
-//! harness's *actual* configuration (paper value → reproduction value, with
-//! the substitutions of DESIGN.md called out).
+//! *actual* configuration the sweep specs start from (paper value →
+//! reproduction value, with the substitutions of DESIGN.md called out).
 //!
 //! Usage: `cargo run --release -p fedms-bench --bin table2`
 
-use fedms_bench::{harness_defaults, save_json};
-use fedms_core::Result;
+use fedms_core::{FedMsConfig, Result};
+use fedms_exp::save_json;
 
 fn main() -> Result<()> {
-    let cfg = harness_defaults(42)?;
+    // The sweep specs' default evaluation cadence: every `rounds / 20`.
+    let mut cfg = FedMsConfig::paper_defaults(42)?;
+    cfg.eval_every = (cfg.rounds / 20).max(1);
     println!("Table II: important settings (paper -> this reproduction)");
     println!("{:<22} {:<28} reproduction", "setting", "paper");
     let rows: Vec<(&str, String, String)> = vec![

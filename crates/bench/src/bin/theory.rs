@@ -14,9 +14,9 @@
 //! Usage: `cargo run --release -p fedms-bench --bin theory`
 
 use fedms_attacks::AttackKind;
-use fedms_bench::save_json;
 use fedms_core::theory::{log_log_slope, run_convex_fedms, sweep_byzantine, ConvexFedMsConfig};
 use fedms_core::Result;
+use fedms_exp::save_json;
 use fedms_nn::convex::QuadraticFleet;
 use serde::Serialize;
 

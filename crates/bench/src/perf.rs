@@ -1,14 +1,11 @@
 //! A small workload-based micro-benchmark harness for the aggregation hot
 //! path.
 //!
-//! The criterion-style benches under `benches/` are good for interactive
-//! profiling but their output is not machine-checkable. This module is the
-//! opposite trade-off: a [`Workload`] is measured through explicit warmup
-//! and sampling phases, and the result is a serializable [`Measurement`]
-//! (median/min seconds per iteration, coordinates/s, GB/s) that the
-//! `filterbench` binary persists as `BENCH_filter.json` — stamped with git
-//! rev and [`MachineInfo`] — and that CI compares against the committed
-//! baseline.
+//! A [`Workload`] is measured through explicit warmup and sampling phases,
+//! and the result is a serializable [`Measurement`] (median/min seconds per
+//! iteration, coordinates/s, GB/s) that the `filterbench` binary persists as
+//! `BENCH_filter.json` — stamped with git rev and [`MachineInfo`] — and that
+//! CI compares against the committed baseline.
 //!
 //! Two knobs matter when gating in CI: the absolute throughput (valid only
 //! on comparable machines, so the gate applies a generous tolerance) and

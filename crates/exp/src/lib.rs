@@ -24,8 +24,9 @@
 //! interrupted-and-resumed or not. `tests/sweep.rs` enforces this by
 //! proptest.
 //!
-//! Checked-in specs for the paper's figures live under `experiments/`; run
-//! one with:
+//! Checked-in specs for every accuracy sweep of the paper live under
+//! `experiments/`; `fedms exp run` executes one and prints its panel tables
+//! ([`print_panels`]):
 //!
 //! ```text
 //! fedms exp run experiments/fig3.toml --threads 8
@@ -33,7 +34,6 @@
 //!
 //! [`FedMsConfig`]: fedms_core::FedMsConfig
 
-mod harness;
 mod provenance;
 mod report;
 mod scheduler;
@@ -42,9 +42,8 @@ mod store;
 pub mod toml;
 mod trial;
 
-pub use harness::{harness_defaults, rounds_from_env, seeds_from_env, threads_from_env};
-pub use provenance::{save_json, save_json_stamped_in, Provenance};
-pub use report::{average_points, panels, print_series_table, Series};
+pub use provenance::save_json;
+pub use report::print_panels;
 pub use scheduler::{run_sweep, run_sweep_with, Progress, SweepReport};
 pub use spec::{Scale, SpecError, SweepSpec};
 pub use store::{git_rev, ManifestTrial, RunManifest, RunStore};
@@ -53,7 +52,7 @@ pub use trial::{execute_trial, Trial, TrialRecord, TrialStatus};
 use std::path::Path;
 
 /// Builds the [`RunManifest`] for a spec and its expanded trials.
-pub fn manifest_for(spec: &SweepSpec, run_id: &str, trials: &[Trial]) -> RunManifest {
+fn manifest_for(spec: &SweepSpec, run_id: &str, trials: &[Trial]) -> RunManifest {
     RunManifest {
         run_id: run_id.to_string(),
         name: spec.name.clone(),
@@ -73,9 +72,9 @@ pub fn manifest_for(spec: &SweepSpec, run_id: &str, trials: &[Trial]) -> RunMani
     }
 }
 
-/// Parses `source`, applies the harness environment overrides, expands the
-/// grid, opens (or resumes) the run store under `base_dir`, and runs the
-/// sweep on `threads` workers.
+/// Parses `source`, applies the environment overrides
+/// ([`SweepSpec::apply_env`]), expands the grid, opens (or resumes) the run
+/// store under `base_dir`, and runs the sweep on `threads` workers.
 ///
 /// `run_id` overrides the spec-derived directory name (the `--resume`
 /// path); when it names an existing run of a *different* spec, the call
@@ -114,28 +113,6 @@ pub fn run_spec_in(
         .map_err(|e| SpecError(format!("write manifest: {e}")))?;
     let report = run_sweep(&trials, &store, threads, on_progress).map_err(SpecError)?;
     Ok((spec, store, report))
-}
-
-/// [`run_spec_in`] with the conventional store location `results/runs/`,
-/// the `FEDMS_THREADS`/available-parallelism thread count, and progress
-/// printed to stdout. The entry point for the figure binaries.
-///
-/// # Errors
-///
-/// As [`run_spec_in`].
-pub fn run_spec(source: &str) -> Result<(SweepSpec, SweepReport), SpecError> {
-    let threads = threads_from_env();
-    let (spec, store, report) =
-        run_spec_in(source, Path::new("results/runs"), None, threads, print_progress)?;
-    println!(
-        "sweep `{}`: {} executed, {} skipped, {} failed -> {}",
-        spec.name,
-        report.executed,
-        report.skipped,
-        report.failed,
-        store.root().display()
-    );
-    Ok((spec, report))
 }
 
 /// The default progress printer: one line per finished trial.

@@ -92,8 +92,8 @@ fn point_latest(dir: &Path, name: &str, artifact_name: &str) -> io::Result<()> {
     std::fs::write(&latest, pointer)
 }
 
-/// Stamped drop-in for the bench harness's historical `save_json`: writes
-/// under `results/` relative to the working directory, best effort (a
+/// Writes a stamped artifact under `results/` relative to the working
+/// directory (the non-sweep artefact binaries' output path), best effort (a
 /// warning on failure rather than aborting the experiment output).
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     match save_json_stamped_in(Path::new("results"), name, value, "fedms-bench") {

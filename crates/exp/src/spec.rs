@@ -271,7 +271,7 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Applies the harness environment overrides: `FEDMS_SEEDS` replaces
+    /// Applies the environment overrides: `FEDMS_SEEDS` replaces
     /// the seed list, `FEDMS_ROUNDS` replaces the round count, and
     /// `FEDMS_FAST=1` clamps rounds to at most 10 (a smoke run never runs
     /// *longer* than the spec asks).
@@ -779,8 +779,7 @@ filter = ["trimmed:matched", "mean"]
 
     #[test]
     fn env_overrides_guarded() {
-        // Like the bench crate's env tests: only assert when the variables
-        // are unset (tests run in parallel; we never mutate the env).
+        // Only assert when the variables are unset (tests run in parallel; we never mutate the env).
         if std::env::var("FEDMS_SEEDS").is_err()
             && std::env::var("FEDMS_ROUNDS").is_err()
             && std::env::var("FEDMS_FAST").is_err()

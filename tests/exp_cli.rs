@@ -1,6 +1,7 @@
 //! End-to-end tests of the `fedms exp` subcommand: running the checked-in
-//! smoke spec writes a manifest and one record per trial, a re-run skips
-//! everything, and `exp check` validates the run directory.
+//! smoke spec writes a manifest and one record per trial and prints the
+//! sweep's table, a re-run skips everything, `exp check` validates the run
+//! directory, and every checked-in spec expands.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -31,6 +32,10 @@ fn exp_run_writes_manifest_and_records_then_resumes_and_checks() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("2 executed, 0 skipped, 0 failed"), "unexpected summary: {stdout}");
+    // The single-axis smoke grid prints one table with a column per filter.
+    let header = stdout.lines().find(|l| l.trim_start().starts_with("round")).expect("table");
+    assert!(header.contains("trimmed:0.25") && header.contains("mean"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.trim_start().starts_with("final")), "{stdout}");
 
     // One run directory with a manifest, the spec copy, and two records.
     let runs: Vec<_> = std::fs::read_dir(&out_dir).unwrap().map(|e| e.unwrap().path()).collect();
@@ -59,6 +64,7 @@ fn exp_run_writes_manifest_and_records_then_resumes_and_checks() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 executed, 2 skipped, 0 failed"), "unexpected summary: {stdout}");
+    assert!(stdout.contains("== CI smoke sweep"), "a resumed run prints the tables too: {stdout}");
 
     // `exp check` accepts the complete run directory...
     let out =
@@ -97,4 +103,26 @@ fn exp_run_rejects_bad_specs() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown filter"));
     let _ = std::fs::remove_file(&bad);
+}
+
+#[test]
+fn every_checked_in_spec_parses_and_expands() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("experiments");
+    let mut specs: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("experiments/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    specs.sort();
+    assert!(specs.len() >= 12, "expected the figure and extension specs, got {specs:?}");
+    for spec in &specs {
+        let out = fedms().args(["exp", "list", spec.to_str().unwrap()]).output().expect("runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains(" trials, "),
+            "{} does not expand: {}{stdout}",
+            spec.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
