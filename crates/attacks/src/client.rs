@@ -7,12 +7,15 @@
 //! aggregation rule (see `fedms-sim`'s server rule), Fed-MS extends to the
 //! dual threat model.
 
+use std::fmt;
+
 use fedms_tensor::rng::derive_seed;
 use fedms_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::kind::{arg, arity, split_params};
 use crate::{AttackError, Result};
 
 /// What a Byzantine client knows when it tampers with its upload.
@@ -111,7 +114,17 @@ pub enum ClientAttackKind {
 }
 
 impl ClientAttackKind {
-    /// A short label for experiment output.
+    /// Every client attack at its default parameters, in listing order. A
+    /// bare name parses to its entry here.
+    pub const DEFAULTS: [ClientAttackKind; 5] = [
+        ClientAttackKind::SignFlip { scale: 1.0 },
+        ClientAttackKind::Noise { std: 1.0 },
+        ClientAttackKind::Random { lo: -10.0, hi: 10.0 },
+        ClientAttackKind::Amplify { factor: 10.0 },
+        ClientAttackKind::LabelFlip { offset: 1 },
+    ];
+
+    /// The attack's name in the `name[:p…]` grammar.
     pub fn label(&self) -> &'static str {
         match self {
             ClientAttackKind::SignFlip { .. } => "sign_flip",
@@ -120,6 +133,29 @@ impl ClientAttackKind {
             ClientAttackKind::Amplify { .. } => "amplify",
             ClientAttackKind::LabelFlip { .. } => "label_flip",
         }
+    }
+
+    /// Parses `name[:p…]` with all parameters or none, like
+    /// [`crate::AttackKind::parse`] (e.g. `sign_flip`, `amplify:5`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown attack or a bad parameter list.
+    pub fn parse(s: &str) -> std::result::Result<Self, String> {
+        let (name, p) = split_params(s);
+        let kind = Self::DEFAULTS
+            .into_iter()
+            .find(|k| k.label() == name)
+            .ok_or_else(|| format!("unknown client attack `{name}`"))?;
+        Ok(match (kind, p.as_slice()) {
+            (kind, []) => kind,
+            (Self::SignFlip { .. }, [scale]) => Self::SignFlip { scale: arg(scale)? },
+            (Self::Noise { .. }, [std]) => Self::Noise { std: arg(std)? },
+            (Self::Random { .. }, [lo, hi]) => Self::Random { lo: arg(lo)?, hi: arg(hi)? },
+            (Self::Amplify { .. }, [factor]) => Self::Amplify { factor: arg(factor)? },
+            (Self::LabelFlip { .. }, [offset]) => Self::LabelFlip { offset: arg(offset)? },
+            _ => return Err(arity(s, &kind)),
+        })
     }
 
     /// Instantiates the live attack.
@@ -170,6 +206,19 @@ impl ClientAttackKind {
         match *self {
             ClientAttackKind::LabelFlip { offset } => Some(offset),
             _ => None,
+        }
+    }
+}
+
+impl fmt::Display for ClientAttackKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())?;
+        match *self {
+            ClientAttackKind::SignFlip { scale } => write!(f, ":{scale}"),
+            ClientAttackKind::Noise { std } => write!(f, ":{std}"),
+            ClientAttackKind::Random { lo, hi } => write!(f, ":{lo}:{hi}"),
+            ClientAttackKind::Amplify { factor } => write!(f, ":{factor}"),
+            ClientAttackKind::LabelFlip { offset } => write!(f, ":{offset}"),
         }
     }
 }

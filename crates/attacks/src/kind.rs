@@ -1,4 +1,8 @@
-//! Serializable attack selection for experiment configuration.
+//! Serializable attack selection for experiment configuration, and the
+//! `name[:p…]` grammar every textual config surface spells attacks in.
+
+use std::fmt;
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,17 +61,27 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
+    /// Every attack at its default parameters (the paper's where it sets
+    /// them), in listing order. A bare name parses to its entry here.
+    pub const DEFAULTS: [AttackKind; 9] = [
+        AttackKind::Benign,
+        AttackKind::Noise { std: 1.0 },
+        AttackKind::Random { lo: -10.0, hi: 10.0 },
+        AttackKind::Safeguard { gamma: 0.6 },
+        AttackKind::Backward { delay: 2 },
+        AttackKind::SignFlip { scale: 1.0 },
+        AttackKind::Zero,
+        AttackKind::Alie { z: 1.0 },
+        AttackKind::Ipm { epsilon: 0.5 },
+    ];
+
     /// The paper's four attacks with their Section VI-A parameters.
     pub fn paper_suite() -> [AttackKind; 4] {
-        [
-            AttackKind::Noise { std: 1.0 },
-            AttackKind::Random { lo: -10.0, hi: 10.0 },
-            AttackKind::Safeguard { gamma: 0.6 },
-            AttackKind::Backward { delay: 2 },
-        ]
+        let d = Self::DEFAULTS;
+        [d[1], d[2], d[3], d[4]]
     }
 
-    /// A short label for experiment output.
+    /// The attack's name in the `name[:p…]` grammar.
     pub fn label(&self) -> &'static str {
         match self {
             AttackKind::Benign => "benign",
@@ -80,6 +94,32 @@ impl AttackKind {
             AttackKind::Alie { .. } => "alie",
             AttackKind::Ipm { .. } => "ipm",
         }
+    }
+
+    /// Parses `name[:p…]`, the form [`Display`](fmt::Display) prints: a
+    /// [`AttackKind::label`] and all of its parameters or none (none =
+    /// [`AttackKind::DEFAULTS`]), e.g. `noise`, `noise:2.5`, `random:-10:10`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown attack or a bad parameter list.
+    pub fn parse(s: &str) -> std::result::Result<Self, String> {
+        let (name, p) = split_params(s);
+        let kind = Self::DEFAULTS
+            .into_iter()
+            .find(|k| k.label() == name)
+            .ok_or_else(|| format!("unknown attack `{name}`"))?;
+        Ok(match (kind, p.as_slice()) {
+            (kind, []) => kind,
+            (Self::Noise { .. }, [std]) => Self::Noise { std: arg(std)? },
+            (Self::Random { .. }, [lo, hi]) => Self::Random { lo: arg(lo)?, hi: arg(hi)? },
+            (Self::Safeguard { .. }, [gamma]) => Self::Safeguard { gamma: arg(gamma)? },
+            (Self::Backward { .. }, [delay]) => Self::Backward { delay: arg(delay)? },
+            (Self::SignFlip { .. }, [scale]) => Self::SignFlip { scale: arg(scale)? },
+            (Self::Alie { .. }, [z]) => Self::Alie { z: arg(z)? },
+            (Self::Ipm { .. }, [epsilon]) => Self::Ipm { epsilon: arg(epsilon)? },
+            _ => return Err(arity(s, &kind)),
+        })
     }
 
     /// Instantiates the live attack.
@@ -133,6 +173,38 @@ impl AttackKind {
     }
 }
 
+impl fmt::Display for AttackKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())?;
+        match *self {
+            AttackKind::Benign | AttackKind::Zero => Ok(()),
+            AttackKind::Noise { std } => write!(f, ":{std}"),
+            AttackKind::Random { lo, hi } => write!(f, ":{lo}:{hi}"),
+            AttackKind::Safeguard { gamma } => write!(f, ":{gamma}"),
+            AttackKind::Backward { delay } => write!(f, ":{delay}"),
+            AttackKind::SignFlip { scale } => write!(f, ":{scale}"),
+            AttackKind::Alie { z } => write!(f, ":{z}"),
+            AttackKind::Ipm { epsilon } => write!(f, ":{epsilon}"),
+        }
+    }
+}
+
+/// Splits the `name[:p…]` grammar into the name and its parameters.
+pub(crate) fn split_params(s: &str) -> (&str, Vec<&str>) {
+    let mut parts = s.split(':').map(str::trim);
+    (parts.next().unwrap_or_default(), parts.collect())
+}
+
+/// Parses one grammar parameter.
+pub(crate) fn arg<T: FromStr>(p: &str) -> std::result::Result<T, String> {
+    p.parse().map_err(|_| format!("bad parameter `{p}`"))
+}
+
+/// The error for a parameter list that is neither empty nor complete.
+pub(crate) fn arity(s: &str, default: &impl fmt::Display) -> String {
+    format!("`{s}`: give every parameter of `{default}` or none")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +252,44 @@ mod tests {
         assert!(AttackKind::SignFlip { scale: 0.0 }.build().is_err());
         assert!(AttackKind::Alie { z: f32::NAN }.build().is_err());
         assert!(AttackKind::Ipm { epsilon: 0.0 }.build().is_err());
+    }
+
+    #[test]
+    fn parse_attack_kinds() {
+        assert_eq!(AttackKind::parse("benign").unwrap(), AttackKind::Benign);
+        assert_eq!(AttackKind::parse("zero").unwrap(), AttackKind::Zero);
+        assert_eq!(AttackKind::parse("noise:1.5").unwrap(), AttackKind::Noise { std: 1.5 });
+        assert_eq!(
+            AttackKind::parse("random:-10:10").unwrap(),
+            AttackKind::Random { lo: -10.0, hi: 10.0 }
+        );
+        assert_eq!(
+            AttackKind::parse("safeguard:0.6").unwrap(),
+            AttackKind::Safeguard { gamma: 0.6 }
+        );
+        assert_eq!(AttackKind::parse("backward:2").unwrap(), AttackKind::Backward { delay: 2 });
+        assert_eq!(
+            AttackKind::parse("sign_flip:2.0").unwrap(),
+            AttackKind::SignFlip { scale: 2.0 }
+        );
+        assert_eq!(AttackKind::parse("alie:1.0").unwrap(), AttackKind::Alie { z: 1.0 });
+        assert_eq!(AttackKind::parse("ipm:0.5").unwrap(), AttackKind::Ipm { epsilon: 0.5 });
+        // A bare name means the default parameters.
+        assert_eq!(AttackKind::parse("noise").unwrap(), AttackKind::Noise { std: 1.0 });
+        assert!(AttackKind::parse("benign:1").is_err());
+        assert!(AttackKind::parse("random:1").is_err());
+        assert!(AttackKind::parse("noise:abc").is_err());
+        assert!(AttackKind::parse("signflip").is_err());
+        assert!(AttackKind::parse("").is_err());
+    }
+
+    #[test]
+    fn display_is_the_parse_form() {
+        for kind in AttackKind::DEFAULTS {
+            assert_eq!(AttackKind::parse(&kind.to_string()).unwrap(), kind);
+        }
+        assert_eq!(AttackKind::Random { lo: -10.0, hi: 10.0 }.to_string(), "random:-10:10");
+        assert_eq!(AttackKind::Zero.to_string(), "zero");
     }
 
     #[test]

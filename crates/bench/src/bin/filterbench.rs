@@ -28,7 +28,8 @@
 
 use fedms_aggregation::{kernel, reference};
 use fedms_bench::perf::{
-    peak_rss_bytes, pseudo_values, Harness, MachineInfo, Measurement, MemoryInfo, Workload,
+    peak_rss_bytes, pseudo_values, GateArgs, Harness, MachineInfo, Measurement, MemoryInfo,
+    Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -115,39 +116,7 @@ impl<F: FnMut(&[&[f32]], usize, &mut [f32])> Workload for FilterWorkload<F> {
     }
 }
 
-#[derive(Debug, Default)]
-struct Args {
-    quick: bool,
-    out: Option<PathBuf>,
-    check: Option<PathBuf>,
-    tolerance: f64,
-    min_speedup: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { tolerance: 0.5, min_speedup: 8.0, ..Args::default() };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--check" => args.check = Some(PathBuf::from(value("--check")?)),
-            "--tolerance" => {
-                args.tolerance =
-                    value("--tolerance")?.parse().map_err(|e| format!("--tolerance: {e}"))?
-            }
-            "--min-speedup" => {
-                args.min_speedup =
-                    value("--min-speedup")?.parse().map_err(|e| format!("--min-speedup: {e}"))?
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
-
-fn check_against(report: &Report, baseline_path: &Path, args: &Args) -> Result<(), String> {
+fn check_against(report: &Report, baseline_path: &Path, args: &GateArgs) -> Result<(), String> {
     let body = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
     let baseline: Report =
@@ -179,7 +148,7 @@ fn check_against(report: &Report, baseline_path: &Path, args: &Args) -> Result<(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match GateArgs::from_env(8.0) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("filterbench: {e}");

@@ -35,7 +35,8 @@
 #[cfg(feature = "backend-blocked")]
 mod bench {
     use fedms_bench::perf::{
-        peak_rss_bytes, pseudo_values, Harness, MachineInfo, Measurement, MemoryInfo, Workload,
+        peak_rss_bytes, pseudo_values, GateArgs, Harness, MachineInfo, Measurement, MemoryInfo,
+        Workload,
     };
     use fedms_nn::{Conv2d, Layer, LrSchedule, Mlp, NeuralNet, Sgd};
     use fedms_tensor::rng::rng_for;
@@ -264,39 +265,6 @@ mod bench {
         }
     }
 
-    #[derive(Debug, Default)]
-    struct Args {
-        quick: bool,
-        out: Option<PathBuf>,
-        check: Option<PathBuf>,
-        tolerance: f64,
-        min_speedup: f64,
-    }
-
-    fn parse_args() -> Result<Args, String> {
-        let mut args = Args { tolerance: 0.5, min_speedup: 3.0, ..Args::default() };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-            match a.as_str() {
-                "--quick" => args.quick = true,
-                "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-                "--check" => args.check = Some(PathBuf::from(value("--check")?)),
-                "--tolerance" => {
-                    args.tolerance =
-                        value("--tolerance")?.parse().map_err(|e| format!("--tolerance: {e}"))?
-                }
-                "--min-speedup" => {
-                    args.min_speedup = value("--min-speedup")?
-                        .parse()
-                        .map_err(|e| format!("--min-speedup: {e}"))?
-                }
-                other => return Err(format!("unknown argument: {other}")),
-            }
-        }
-        Ok(args)
-    }
-
     /// Measures one workload under both backends and verifies the blocked
     /// checksum agrees with the scalar one within `tol` (relative to the
     /// checksum magnitude — blocked kernels reassociate f32 sums, so exact
@@ -322,7 +290,7 @@ mod bench {
         Ok(BackendPair { scalar, blocked, speedup })
     }
 
-    fn check_against(report: &Report, baseline_path: &Path, args: &Args) -> Result<(), String> {
+    fn check_against(report: &Report, baseline_path: &Path, args: &GateArgs) -> Result<(), String> {
         let body = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
         let baseline: Report =
@@ -360,7 +328,7 @@ mod bench {
     }
 
     pub fn main() -> ExitCode {
-        let args = match parse_args() {
+        let args = match GateArgs::from_env(3.0) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("nnbench: {e}");

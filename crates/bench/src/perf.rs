@@ -13,7 +13,58 @@
 //! carries the regression signal.
 
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 use std::time::Instant;
+
+/// The flags every gated kernel bench takes: `--quick`, `--out <file>`,
+/// `--check <baseline>`, `--tolerance <fraction>` (default 0.5) and
+/// `--min-speedup <ratio>`.
+#[derive(Debug, Default)]
+pub struct GateArgs {
+    /// Short warmup and sampling phases.
+    pub quick: bool,
+    /// Where to write the report.
+    pub out: Option<PathBuf>,
+    /// Baseline report to gate against.
+    pub check: Option<PathBuf>,
+    /// Allowed throughput drop below the baseline.
+    pub tolerance: f64,
+    /// Required kernel speedup ratio.
+    pub min_speedup: f64,
+}
+
+impl GateArgs {
+    /// Parses the process arguments, with `min_speedup` as the default
+    /// speedup gate.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown flag or a missing or malformed
+    /// value.
+    pub fn from_env(min_speedup: f64) -> Result<Self, String> {
+        let mut args = GateArgs { tolerance: 0.5, min_speedup, ..GateArgs::default() };
+        let mut it = std::env::args().skip(1);
+        while let Some(a) = it.next() {
+            let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
+            match a.as_str() {
+                "--quick" => args.quick = true,
+                "--out" => args.out = Some(PathBuf::from(value("--out")?)),
+                "--check" => args.check = Some(PathBuf::from(value("--check")?)),
+                "--tolerance" => {
+                    args.tolerance =
+                        value("--tolerance")?.parse().map_err(|e| format!("--tolerance: {e}"))?
+                }
+                "--min-speedup" => {
+                    args.min_speedup = value("--min-speedup")?
+                        .parse()
+                        .map_err(|e| format!("--min-speedup: {e}"))?
+                }
+                other => return Err(format!("unknown argument: {other}")),
+            }
+        }
+        Ok(args)
+    }
+}
 
 /// One benchmarkable unit of work.
 ///

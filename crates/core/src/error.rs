@@ -26,6 +26,13 @@ pub enum CoreError {
     Tensor(TensorError),
     /// Invalid Fed-MS configuration.
     BadConfig(String),
+    /// A config key that is unknown or whose value does not parse.
+    BadKey {
+        /// The key, as spelled in [`FedMsConfig::KEYS`](crate::FedMsConfig::KEYS).
+        key: String,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -38,6 +45,7 @@ impl fmt::Display for CoreError {
             CoreError::Nn(e) => write!(f, "model error: {e}"),
             CoreError::Tensor(e) => write!(f, "tensor error: {e}"),
             CoreError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            CoreError::BadKey { key, reason } => write!(f, "bad `{key}`: {reason}"),
         }
     }
 }
@@ -51,7 +59,7 @@ impl std::error::Error for CoreError {
             CoreError::Attack(e) => Some(e),
             CoreError::Nn(e) => Some(e),
             CoreError::Tensor(e) => Some(e),
-            CoreError::BadConfig(_) => None,
+            CoreError::BadConfig(_) | CoreError::BadKey { .. } => None,
         }
     }
 }

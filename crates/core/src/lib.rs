@@ -45,6 +45,7 @@ mod config;
 mod error;
 mod filter;
 pub mod hash;
+mod keys;
 pub mod theory;
 
 pub use config::{FedMsConfig, TransportKind};
@@ -54,6 +55,7 @@ pub use fedms_sim::ThreatSchedule;
 pub use fedms_tensor::{Backend, BackendHandle, BackendKind};
 pub use filter::FilterKind;
 pub use hash::{fnv1a64, fnv1a64_hex};
+pub use keys::{ConfigKey, ValueKind};
 
 /// Crate-wide `Result` alias using [`CoreError`].
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -47,23 +47,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload as `f64` (integers widen).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -375,8 +358,8 @@ mod tests {
         let exp = doc.table("experiment").unwrap();
         assert_eq!(exp.get("name").unwrap().as_str(), Some("fig9"));
         assert_eq!(exp.get("rounds").unwrap().as_int(), Some(60));
-        assert_eq!(exp.get("alpha").unwrap().as_float(), Some(10.5));
-        assert_eq!(exp.get("fast").unwrap().as_bool(), Some(true));
+        assert_eq!(exp.get("alpha"), Some(&Value::Float(10.5)));
+        assert_eq!(exp.get("fast"), Some(&Value::Bool(true)));
         let grid = doc.table("grid").unwrap();
         assert_eq!(grid.get("filter").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(grid.get("eps").unwrap().as_array().unwrap()[1], Value::Float(0.1));
@@ -391,9 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn int_widens_to_float() {
-        let doc = parse("x = 3\n").unwrap();
-        assert_eq!(doc.table("").unwrap().get("x").unwrap().as_float(), Some(3.0));
+    fn ints_stay_ints() {
+        let doc = parse("x = 3\ny = 3.0\n").unwrap();
+        assert_eq!(doc.table("").unwrap().get("x"), Some(&Value::Int(3)));
+        assert_eq!(doc.table("").unwrap().get("y"), Some(&Value::Float(3.0)));
     }
 
     #[test]

@@ -50,7 +50,8 @@ const DEFAULT_CHANNEL_BOUND: usize = 64;
 const CORRUPT_LABEL: u64 = 0x43_52_50_54;
 
 /// Frame-level traffic counters of a [`NetTransport`] (cumulative since
-/// construction; the criterion bench reads frames/s and bytes/s off them).
+/// construction; the round benchmark's `net.frames` and `net.frame_mb`
+/// metrics read them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Frames placed on any channel.

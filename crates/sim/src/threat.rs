@@ -46,8 +46,12 @@
 //!            | 'partition=' ids      servers cut off at the network layer
 //!            | 'corrupt=' rate       per-frame corruption probability
 //! ids       := id ('|' id)*
-//! kind      := name (':' param)*     e.g. noise:1.0, random:-10:10, ipm:0.5
+//! kind      := name (':' param)*     AttackKind::parse: all parameters or
+//!                                    none, e.g. noise, noise:1.5, random:-10:10
 //! ```
+//!
+//! Attack names are the [`AttackKind::label`]s that `fedms attacks` lists
+//! (`sign_flip`, not `signflip`); a bare name takes the default parameters.
 //!
 //! Example: `50..80:compromise=1|3,attack=random:-10:10;60..:partition=2`
 //! compromises servers 1 and 3 for rounds 50–79 with the paper's random
@@ -62,7 +66,7 @@ use crate::{Result, SimError};
 
 /// The attack mounted on compromised servers when an epoch names none:
 /// the paper's uniform-replacement attack on `[-10, 10)`.
-pub const DEFAULT_COMPROMISE_ATTACK: AttackKind = AttackKind::Random { lo: -10.0, hi: 10.0 };
+pub const DEFAULT_COMPROMISE_ATTACK: AttackKind = AttackKind::DEFAULTS[2];
 
 /// One contiguous phase of the threat timeline: over rounds
 /// `[start, end)` the listed servers are compromised and/or partitioned
@@ -289,7 +293,9 @@ impl ThreatSchedule {
                 match key.trim() {
                     "compromise" => epoch.compromise = parse_ids(value)?,
                     "partition" => epoch.partition = parse_ids(value)?,
-                    "attack" => epoch.attack = Some(parse_attack_kind(value.trim())?),
+                    "attack" => {
+                        epoch.attack = Some(AttackKind::parse(value).map_err(SimError::BadConfig)?)
+                    }
                     "corrupt" => {
                         epoch.corrupt_rate = value.trim().parse().map_err(|_| {
                             SimError::BadConfig(format!("bad corrupt rate '{}'", value.trim()))
@@ -315,54 +321,6 @@ fn parse_usize(what: &str, s: &str) -> Result<usize> {
 
 fn parse_ids(s: &str) -> Result<Vec<usize>> {
     s.split('|').map(|id| parse_usize("server id", id)).collect()
-}
-
-/// Parses the compact `name[:param[:param]]` attack form used by the
-/// schedule grammar and experiment specs, e.g. `noise:1.0`, `random:-10:10`,
-/// `safeguard:0.6`, `backward:2`, `ipm:0.5`.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadConfig`] for unknown names or malformed
-/// parameters.
-pub fn parse_attack_kind(spec: &str) -> Result<AttackKind> {
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or("").trim();
-    let params: Vec<&str> = parts.map(str::trim).collect();
-    let bad = |what: &str| SimError::BadConfig(format!("attack '{spec}': {what}"));
-    let float =
-        |s: &str| -> Result<f32> { s.parse().map_err(|_| bad(&format!("bad number '{s}'"))) };
-    let one = || -> Result<&str> {
-        match params.as_slice() {
-            [p] => Ok(p),
-            _ => Err(bad("expected exactly one parameter")),
-        }
-    };
-    Ok(match name {
-        "benign" => {
-            if !params.is_empty() {
-                return Err(bad("takes no parameters"));
-            }
-            AttackKind::Benign
-        }
-        "zero" => {
-            if !params.is_empty() {
-                return Err(bad("takes no parameters"));
-            }
-            AttackKind::Zero
-        }
-        "noise" => AttackKind::Noise { std: float(one()?)? },
-        "random" => match params.as_slice() {
-            [lo, hi] => AttackKind::Random { lo: float(lo)?, hi: float(hi)? },
-            _ => return Err(bad("expected random:LO:HI")),
-        },
-        "safeguard" => AttackKind::Safeguard { gamma: float(one()?)? },
-        "backward" => AttackKind::Backward { delay: one()?.parse().map_err(|_| bad("bad delay"))? },
-        "sign_flip" => AttackKind::SignFlip { scale: float(one()?)? },
-        "alie" => AttackKind::Alie { z: float(one()?)? },
-        "ipm" => AttackKind::Ipm { epsilon: float(one()?)? },
-        other => return Err(bad(&format!("unknown attack kind '{other}'"))),
-    })
 }
 
 #[cfg(test)]
@@ -472,31 +430,6 @@ mod tests {
                 assert!(ThreatSchedule::parse(bad).is_err(), "{bad} should fail to parse");
             }
         }
-    }
-
-    #[test]
-    fn parse_attack_kinds() {
-        assert_eq!(parse_attack_kind("benign").unwrap(), AttackKind::Benign);
-        assert_eq!(parse_attack_kind("zero").unwrap(), AttackKind::Zero);
-        assert_eq!(parse_attack_kind("noise:1.5").unwrap(), AttackKind::Noise { std: 1.5 });
-        assert_eq!(
-            parse_attack_kind("random:-10:10").unwrap(),
-            AttackKind::Random { lo: -10.0, hi: 10.0 }
-        );
-        assert_eq!(
-            parse_attack_kind("safeguard:0.6").unwrap(),
-            AttackKind::Safeguard { gamma: 0.6 }
-        );
-        assert_eq!(parse_attack_kind("backward:2").unwrap(), AttackKind::Backward { delay: 2 });
-        assert_eq!(
-            parse_attack_kind("sign_flip:2.0").unwrap(),
-            AttackKind::SignFlip { scale: 2.0 }
-        );
-        assert_eq!(parse_attack_kind("alie:1.0").unwrap(), AttackKind::Alie { z: 1.0 });
-        assert_eq!(parse_attack_kind("ipm:0.5").unwrap(), AttackKind::Ipm { epsilon: 0.5 });
-        assert!(parse_attack_kind("benign:1").is_err());
-        assert!(parse_attack_kind("noise").is_err());
-        assert!(parse_attack_kind("").is_err());
     }
 
     #[test]

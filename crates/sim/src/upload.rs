@@ -1,5 +1,7 @@
 //! Client→server upload strategies (Section IV-A's communication trade-off).
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -27,6 +29,40 @@ pub enum UploadStrategy {
 }
 
 impl UploadStrategy {
+    /// Every strategy at its default parameter, in listing order.
+    pub const DEFAULTS: [UploadStrategy; 3] =
+        [UploadStrategy::Sparse, UploadStrategy::Full, UploadStrategy::Redundant(2)];
+
+    /// The strategy's name in the `name[:k]` grammar.
+    pub fn label(&self) -> &'static str {
+        match self {
+            UploadStrategy::Sparse => "sparse",
+            UploadStrategy::Full => "full",
+            UploadStrategy::Redundant(_) => "redundant",
+        }
+    }
+
+    /// Parses `sparse`, `full` or `redundant[:k]` (bare = `redundant:2`);
+    /// [`Display`](fmt::Display) prints this form back.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown strategy or a bad parameter.
+    pub fn parse(s: &str) -> std::result::Result<Self, String> {
+        let (name, p) = s.split_once(':').map_or((s, None), |(name, p)| (name, Some(p.trim())));
+        let kind = Self::DEFAULTS
+            .into_iter()
+            .find(|k| k.label() == name.trim())
+            .ok_or_else(|| format!("unknown upload strategy `{}`", name.trim()))?;
+        match (kind, p) {
+            (kind, None) => Ok(kind),
+            (UploadStrategy::Redundant(_), Some(k)) => {
+                k.parse().map(UploadStrategy::Redundant).map_err(|_| format!("bad parameter `{k}`"))
+            }
+            _ => Err(format!("`{s}`: give every parameter of `{kind}` or none")),
+        }
+    }
+
     /// Messages sent per round for `num_clients` clients and `num_servers`
     /// servers.
     pub fn messages_per_round(&self, num_clients: usize, num_servers: usize) -> usize {
@@ -74,6 +110,16 @@ impl UploadStrategy {
                 }
                 Ok(out)
             }
+        }
+    }
+}
+
+impl fmt::Display for UploadStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())?;
+        match self {
+            UploadStrategy::Redundant(k) => write!(f, ":{k}"),
+            _ => Ok(()),
         }
     }
 }
@@ -150,5 +196,17 @@ mod tests {
         let a = UploadStrategy::Sparse.assign(10, 5, &mut rng_for(7, &[])).unwrap();
         let b = UploadStrategy::Sparse.assign(10, 5, &mut rng_for(7, &[])).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parses_the_display_form() {
+        assert_eq!(UploadStrategy::parse("redundant:3").unwrap(), UploadStrategy::Redundant(3));
+        assert_eq!(UploadStrategy::parse("redundant").unwrap(), UploadStrategy::Redundant(2));
+        for kind in UploadStrategy::DEFAULTS {
+            assert_eq!(UploadStrategy::parse(&kind.to_string()).unwrap(), kind);
+        }
+        assert!(UploadStrategy::parse("carrier-pigeon").is_err());
+        assert!(UploadStrategy::parse("sparse:1").is_err());
+        assert!(UploadStrategy::parse("redundant:-1").is_err());
     }
 }

@@ -27,43 +27,38 @@ fn final_accuracy(
 }
 
 fn main() -> Result<(), CoreError> {
-    let attacks: Vec<(&str, AttackKind, usize)> = vec![
-        ("none", AttackKind::Benign, 0),
-        ("noise", AttackKind::Noise { std: 1.0 }, 2),
-        ("random", AttackKind::Random { lo: -10.0, hi: 10.0 }, 2),
-        ("safeguard", AttackKind::Safeguard { gamma: 0.6 }, 2),
-        ("backward", AttackKind::Backward { delay: 2 }, 2),
-        ("sign-flip", AttackKind::SignFlip { scale: 1.0 }, 2),
-        ("zero", AttackKind::Zero, 2),
-    ];
-    let filters: Vec<(&str, FilterKind)> = vec![
-        ("mean", FilterKind::Mean),
-        ("trim.2", FilterKind::TrimmedMean { beta: 0.2 }),
-        ("median", FilterKind::Median),
-        ("krum", FilterKind::Krum { f: 2 }),
-        ("geomed", FilterKind::GeometricMedian),
+    // Every attack up to `zero` at its default parameters, B = 2 except
+    // the attack-free control.
+    let attacks = &AttackKind::DEFAULTS[..7];
+    let filters = [
+        FilterKind::Mean,
+        FilterKind::TrimmedMean { beta: 0.2 },
+        FilterKind::Median,
+        FilterKind::Krum { f: 2 },
+        FilterKind::GeometricMedian,
     ];
 
     println!("Byzantine gauntlet: final accuracy (%) after 25 rounds");
     println!("K=50, P=10, B=2 (except the attack-free row)\n");
-    print!("{:<10}", "attack");
-    for (fname, _) in &filters {
-        print!(" {fname:>8}");
+    print!("{:<14}", "attack");
+    for filter in &filters {
+        print!(" {:>11}", filter.to_string());
     }
     println!();
     let mut worst = vec![f32::INFINITY; filters.len()];
-    for (aname, attack, byz) in &attacks {
-        print!("{aname:<10}");
-        for (fi, (_, filter)) in filters.iter().enumerate() {
-            let acc = final_accuracy(*attack, *byz, *filter)?;
+    for &attack in attacks {
+        let byzantine = if attack == AttackKind::Benign { 0 } else { 2 };
+        print!("{:<14}", attack.to_string());
+        for (fi, &filter) in filters.iter().enumerate() {
+            let acc = final_accuracy(attack, byzantine, filter)?;
             worst[fi] = worst[fi].min(acc);
-            print!(" {:>7.1}%", acc * 100.0);
+            print!(" {:>10.1}%", acc * 100.0);
         }
         println!();
     }
-    print!("{:<10}", "worst");
+    print!("{:<14}", "worst");
     for w in &worst {
-        print!(" {:>7.1}%", w * 100.0);
+        print!(" {:>10.1}%", w * 100.0);
     }
     println!("\n\nPick the filter with the best worst-case row: that is the");
     println!("trimmed mean — the Fed-MS defence.");

@@ -1,118 +1,183 @@
-//! `fedms` — command-line front end for the Fed-MS reproduction.
-//!
-//! ```text
-//! fedms init-config <file.json>   write a template experiment config
-//! fedms run [<file.json>]         run an experiment (defaults: Table II)
-//! fedms exp run <spec.toml>       run a declarative sweep spec in parallel
-//! fedms exp list <spec.toml>      print the trials a spec expands into
-//! fedms exp check <run-dir>       verify a run directory is complete
-//! fedms serve <addr>              play one parameter-server round over TCP
-//! fedms client <addr>             upload a model to a `fedms serve` round
-//! fedms attacks                   list server/client attack kinds
-//! fedms filters                   list client-side filter kinds
-//! ```
-//!
-//! `run` prints the per-round accuracy table and, with `--out <file>`,
-//! writes the full metric record as JSON. `compare` runs several configs
-//! and prints a summary table (final/best accuracy, convergence speed,
-//! bytes uploaded). `exp run` executes a sweep spec (see `experiments/`)
-//! on a work-stealing thread pool with a resumable run store under
-//! `results/runs/<run-id>/`, then prints the sweep's accuracy tables.
+//! `fedms` — command-line front end for the Fed-MS reproduction; run it
+//! without arguments for the usage text. The config flags of `run` are the
+//! key table [`FedMsConfig::KEYS`], the same keys sweep specs set.
 
-use fedms::exp::{SweepSpec, Trial, TrialStatus};
+use fedms::core::ValueKind;
+use fedms::exp::{SweepSpec, TrialStatus};
 use fedms::sim::net::{run_client, TcpRound};
-use fedms::{
-    AttackKind, ClientAttackKind, FedMsConfig, FilterKind, NetModel, Snapshot, Tensor,
-    TransportKind,
-};
+use fedms::{AttackKind, ClientAttackKind, FedMsConfig, FilterKind, Snapshot, Tensor};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar|blocked>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(per-server actors, versioned wire frames); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend selects the compute backend for client training: scalar (the\ndeterministic default) or blocked (cache-blocked vectorized kernels;\nrequires a binary built with --features backend-blocked).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool (--threads defaults to every core); records land\nin <out-dir>/<run-id>/, a re-run (or --resume <run-id>) skips every\nalready-completed trial, and the sweep's accuracy tables print at the end\n(first grid axis = panel, remaining axes = series)."
-    );
-    ExitCode::FAILURE
+/// A subcommand's outcome: an exit code, or an error printed as
+/// `error: ...` (exit 1).
+type Outcome = Result<ExitCode, String>;
+
+fn usage_text() -> String {
+    // The config flags are the key table: `--some-key <kind>` per entry,
+    // bool keys as bare flags, three to a line.
+    let flags: Vec<String> = FedMsConfig::KEYS
+        .iter()
+        .map(|key| match key.kind {
+            ValueKind::Bool => format!("[--{}]", key.name.replace('_', "-")),
+            kind => format!("[--{} <{kind}>]", key.name.replace('_', "-")),
+        })
+        .collect();
+    let flags = flags.chunks(3).map(|line| line.join(" ")).collect::<Vec<_>>().join("\n    ");
+    format!(
+        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [<config flags>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nconfig flags (the [base]/[grid] keys of a sweep spec, with `-` for `_`;\nattack and filter values as `fedms attacks` / `fedms filters` print them):\n    {flags}\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(per-server actors, versioned wire frames); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend selects the compute backend for client training: scalar (the\ndeterministic default) or blocked (cache-blocked vectorized kernels;\nrequires a binary built with --features backend-blocked).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool (--threads defaults to every core); records land\nin <out-dir>/<run-id>/, a re-run (or --resume <run-id>) skips every\nalready-completed trial, and the sweep's accuracy tables print at the end\n(first grid axis = panel, remaining axes = series)."
+    )
+}
+
+fn usage() -> Outcome {
+    eprintln!("{}", usage_text());
+    Ok(ExitCode::FAILURE)
+}
+
+/// A subcommand's arguments: positionals, then `--flag` values in order
+/// (`"true"` for a bare flag).
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args`, taking at most `positionals` positionals;
+    /// `takes_value(flag)` is `Some(true)` for a flag with a value,
+    /// `Some(false)` for a bare flag and `None` for an unknown one.
+    fn split(
+        args: &'a [String],
+        positionals: usize,
+        takes_value: impl Fn(&str) -> Option<bool>,
+    ) -> Result<Self, String> {
+        let mut out = Args { positional: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match takes_value(arg) {
+                Some(true) => {
+                    let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                    out.flags.push((arg, value));
+                }
+                Some(false) => out.flags.push((arg, "true")),
+                None if !arg.starts_with("--") && out.positional.len() < positionals => {
+                    out.positional.push(arg);
+                }
+                None => return Err(format!("unrecognised argument {arg}\n\n{}", usage_text())),
+            }
+        }
+        Ok(out)
+    }
+
+    /// The last value given for `flag`, parsed; a malformed value is an
+    /// error naming the flag.
+    fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let value = self.flags.iter().rev().find(|(f, _)| *f == flag);
+        value.map(|(_, v)| v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))).transpose()
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let rest = args.get(1..).unwrap_or_default();
+    let outcome = match args.first().map(String::as_str) {
+        Some("init-config") => init_config(rest),
+        Some("run") => run(rest),
+        Some("exp") => match rest.first().map(String::as_str) {
+            Some("run") => exp_run(&rest[1..]),
+            Some("list") => exp_list(&rest[1..]),
+            Some("check") => exp_check(&rest[1..]),
+            _ => usage(),
+        },
+        Some("compare") => compare(rest),
+        Some("serve") => serve(rest),
+        Some("client") => client(rest),
+        Some("attacks") => {
+            println!(
+                "server attacks (key `attack`; name[:params], a bare name takes these defaults):"
+            );
+            for kind in AttackKind::DEFAULTS {
+                println!("  {kind}");
+            }
+            println!("client attacks (key `client_attack`):");
+            for kind in ClientAttackKind::DEFAULTS {
+                println!("  {kind}");
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        Some("filters") => {
+            println!(
+                "client-side filters (keys `filter`, `server_filter`; name[:params], a bare name \
+                 takes these defaults;\n`trimmed:matched` and `adaptive:matched` resolve from B \
+                 and P):"
+            );
+            for kind in FilterKind::DEFAULTS {
+                let paper = kind.paper_name().map(|p| format!("  ({p})")).unwrap_or_default();
+                println!("  {kind}{paper}");
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        _ => usage(),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn exp_run(args: &[String]) -> Outcome {
+    let args = Args::split(args, 1, |flag| match flag {
+        "--threads" | "--resume" | "--out-dir" => Some(true),
+        "--dry-run" | "--list" => Some(false),
+        _ => None,
+    })?;
+    let Some(&spec_path) = args.positional.first() else {
         return usage();
     };
-    match cmd.as_str() {
-        "init-config" => init_config(&args[1..]),
-        "run" => run(&args[1..]),
-        "exp" => exp(&args[1..]),
-        "compare" => compare(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "client" => client(&args[1..]),
-        "attacks" => {
-            println!("server attacks (FedMsConfig.attack):");
-            for kind in [
-                AttackKind::Benign,
-                AttackKind::Noise { std: 1.0 },
-                AttackKind::Random { lo: -10.0, hi: 10.0 },
-                AttackKind::Safeguard { gamma: 0.6 },
-                AttackKind::Backward { delay: 2 },
-                AttackKind::SignFlip { scale: 1.0 },
-                AttackKind::Zero,
-                AttackKind::Alie { z: 1.0 },
-                AttackKind::Ipm { epsilon: 0.5 },
-            ] {
-                println!("  {:<10} {:?}", kind.label(), kind);
-            }
-            println!("client attacks (FedMsConfig.client_attack):");
-            for kind in [
-                ClientAttackKind::SignFlip { scale: 1.0 },
-                ClientAttackKind::Noise { std: 1.0 },
-                ClientAttackKind::Random { lo: -10.0, hi: 10.0 },
-                ClientAttackKind::Amplify { factor: 10.0 },
-                ClientAttackKind::LabelFlip { offset: 1 },
-            ] {
-                println!("  {:<10} {:?}", kind.label(), kind);
-            }
-            ExitCode::SUCCESS
-        }
-        "filters" => {
-            println!("client-side filters (FedMsConfig.filter / .server_filter):");
-            for kind in [
-                FilterKind::Mean,
-                FilterKind::TrimmedMean { beta: 0.2 },
-                FilterKind::AdaptiveTrimmedMean { trim: 2 },
-                FilterKind::Median,
-                FilterKind::Krum { f: 2 },
-                FilterKind::MultiKrum { f: 2, m: 4 },
-                FilterKind::GeometricMedian,
-                FilterKind::Bulyan { f: 1 },
-            ] {
-                println!("  {:<12} {:?}", kind.label(), kind);
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
+    if args.flags.iter().any(|(flag, _)| matches!(*flag, "--dry-run" | "--list")) {
+        return exp_list(&[spec_path.to_string()]);
     }
+    let resume: Option<String> = args.get("--resume")?;
+    let out_dir: String = args.get("--out-dir")?.unwrap_or_else(|| "results/runs".into());
+    let threads = match args.get("--threads")? {
+        Some(n) => n,
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    let source = std::fs::read_to_string(spec_path)
+        .map_err(|e| format!("could not read {spec_path}: {e}"))?;
+    let (spec, store, report) = fedms::exp::run_spec_in(
+        &source,
+        std::path::Path::new(&out_dir),
+        resume.as_deref(),
+        threads,
+        fedms::exp::print_progress,
+    )
+    .map_err(|e| e.to_string())?;
+    fedms::exp::print_panels(&spec.title, &report.records);
+    println!(
+        "\nsweep `{}`: {} executed, {} skipped, {} failed -> {}",
+        spec.name,
+        report.executed,
+        report.skipped,
+        report.failed,
+        store.root().display()
+    );
+    if report.failed > 0 {
+        return Err(format!(
+            "{} trial(s) failed; re-run to retry them (completed trials are skipped)",
+            report.failed
+        ));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn exp(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("run") => exp_run(&args[1..]),
-        Some("list") => exp_list(&args[1..]),
-        Some("check") => exp_check(&args[1..]),
-        _ => usage(),
-    }
-}
-
-/// Parses a spec file, applies the harness env overrides, and expands it.
-fn load_spec(path: &str) -> Result<(SweepSpec, Vec<Trial>), String> {
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
-    let mut spec = SweepSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
+fn exp_list(args: &[String]) -> Outcome {
+    let Some(spec_path) = args.first() else {
+        return usage();
+    };
+    let source = std::fs::read_to_string(spec_path)
+        .map_err(|e| format!("could not read {spec_path}: {e}"))?;
+    let mut spec = SweepSpec::parse(&source).map_err(|e| format!("{spec_path}: {e}"))?;
     spec.apply_env();
-    let trials = spec.expand().map_err(|e| format!("{path}: {e}"))?;
-    Ok((spec, trials))
-}
-
-fn print_trials(spec: &SweepSpec, trials: &[Trial]) {
+    let trials = spec.expand().map_err(|e| format!("{spec_path}: {e}"))?;
     println!(
         "sweep `{}`: {} trials, {} rounds, seeds {:?} -> run id {}",
         spec.name,
@@ -121,126 +186,22 @@ fn print_trials(spec: &SweepSpec, trials: &[Trial]) {
         spec.seeds,
         spec.default_run_id()
     );
-    for t in trials {
+    for t in &trials {
         println!("  {:<48} [{}]", t.id, t.label);
     }
-}
-
-fn exp_run(args: &[String]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut threads: Option<usize> = None;
-    let mut resume: Option<&str> = None;
-    let mut out_dir = "results/runs".to_string();
-    let mut dry_run = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
-            "--resume" => resume = it.next().map(String::as_str),
-            "--out-dir" => {
-                if let Some(dir) = it.next() {
-                    out_dir = dir.clone();
-                }
-            }
-            "--dry-run" | "--list" => dry_run = true,
-            other if !other.starts_with("--") && spec_path.is_none() => spec_path = Some(other),
-            other => {
-                eprintln!("error: unrecognised argument {other}");
-                return usage();
-            }
-        }
-    }
-    let Some(spec_path) = spec_path else {
-        return usage();
-    };
-    if dry_run {
-        return exp_list(&[spec_path.to_string()]);
-    }
-    let source = match std::fs::read_to_string(spec_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not read {spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let threads =
-        threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    match fedms::exp::run_spec_in(
-        &source,
-        std::path::Path::new(&out_dir),
-        resume,
-        threads,
-        fedms::exp::print_progress,
-    ) {
-        Ok((spec, store, report)) => {
-            fedms::exp::print_panels(&spec.title, &report.records);
-            println!(
-                "\nsweep `{}`: {} executed, {} skipped, {} failed -> {}",
-                spec.name,
-                report.executed,
-                report.skipped,
-                report.failed,
-                store.root().display()
-            );
-            if report.failed > 0 {
-                eprintln!(
-                    "error: {} trial(s) failed; re-run to retry them (completed trials are skipped)",
-                    report.failed
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn exp_list(args: &[String]) -> ExitCode {
-    let Some(spec_path) = args.first() else {
-        return usage();
-    };
-    match load_spec(spec_path) {
-        Ok((spec, trials)) => {
-            print_trials(&spec, &trials);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Verifies a run directory: the manifest must load and every trial it
 /// lists must have a parseable, completed record.
-fn exp_check(args: &[String]) -> ExitCode {
+fn exp_check(args: &[String]) -> Outcome {
     let Some(dir) = args.first() else {
         return usage();
     };
-    let store = match fedms::exp::RunStore::open_existing(std::path::Path::new(dir)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match store.load_manifest() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match store.all_records() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: could not list records: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store = fedms::exp::RunStore::open_existing(std::path::Path::new(dir))
+        .map_err(|e| e.to_string())?;
+    let manifest = store.load_manifest().map_err(|e| e.to_string())?;
+    let records = store.all_records().map_err(|e| format!("could not list records: {e}"))?;
     let mut problems = 0usize;
     let mut completed = 0usize;
     for trial in &manifest.trials {
@@ -277,44 +238,30 @@ fn exp_check(args: &[String]) -> ExitCode {
         manifest.trials.len(),
         problems
     );
-    if problems > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if problems > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-fn init_config(args: &[String]) -> ExitCode {
+fn init_config(args: &[String]) -> Outcome {
     let Some(path) = args.first() else {
         return usage();
     };
-    let cfg = match FedMsConfig::paper_defaults(42) {
-        Ok(mut cfg) => {
-            cfg.byzantine_count = 2;
-            cfg.attack = AttackKind::Random { lo: -10.0, hi: 10.0 };
-            cfg
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let body = match serde_json::to_string_pretty(&cfg) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: could not serialise config: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("error: could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut cfg = FedMsConfig::paper_defaults(42).map_err(|e| e.to_string())?;
+    cfg.byzantine_count = 2;
+    cfg.attack = AttackKind::Random { lo: -10.0, hi: 10.0 };
+    let body = serde_json::to_string_pretty(&cfg)
+        .map_err(|e| format!("could not serialise config: {e}"))?;
+    std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
     println!("wrote template config to {path}; edit and `fedms run {path}`");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn compare(args: &[String]) -> ExitCode {
+/// Reads a JSON file and deserializes it with `parse` (`serde_json::from_str`).
+fn load_json<T>(path: &str, parse: fn(&str) -> Result<T, serde_json::Error>) -> Result<T, String> {
+    let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    parse(&body).map_err(|e| e.to_string())
+}
+
+fn compare(args: &[String]) -> Outcome {
     if args.is_empty() {
         return usage();
     }
@@ -323,27 +270,11 @@ fn compare(args: &[String]) -> ExitCode {
         "config", "final acc", "best acc", "rnds to 90%", "upload MiB"
     );
     for path in args {
-        let cfg: FedMsConfig = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
-        {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: could not load {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let result = match cfg.run() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(summary) = result.summary() else {
-            eprintln!("error: {path}: run produced no evaluated rounds");
-            return ExitCode::FAILURE;
-        };
+        let cfg: FedMsConfig = load_json(path, serde_json::from_str)
+            .map_err(|e| format!("could not load {path}: {e}"))?;
+        let result = cfg.run().map_err(|e| format!("{path}: {e}"))?;
+        let summary =
+            result.summary().ok_or_else(|| format!("{path}: run produced no evaluated rounds"))?;
         let name = std::path::Path::new(path)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -357,175 +288,38 @@ fn compare(args: &[String]) -> ExitCode {
             summary.upload_bytes as f64 / (1024.0 * 1024.0)
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let mut config_path: Option<&str> = None;
-    let mut out_path: Option<&str> = None;
-    let mut rounds: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut save_checkpoint: Option<&str> = None;
-    let mut resume: Option<&str> = None;
-    let mut crash: Option<usize> = None;
-    let mut crash_round: Option<usize> = None;
-    let mut stragglers: Option<usize> = None;
-    let mut straggler_delay: Option<usize> = None;
-    let mut downlink_omission: Option<f64> = None;
-    let mut duplicate_rate: Option<f64> = None;
-    let mut retry_budget: Option<u32> = None;
-    let mut attempt_timeout: Option<u64> = None;
-    let mut backoff_base: Option<u64> = None;
-    let mut failover = false;
-    let mut proceed_degraded = false;
-    let mut transport: Option<&str> = None;
-    let mut net_profile: Option<&str> = None;
-    let mut threat_schedule: Option<&str> = None;
-    let mut estimate_b = false;
-    let mut backend: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out_path = it.next().map(String::as_str),
-            "--rounds" => rounds = it.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()),
-            "--save-checkpoint" => save_checkpoint = it.next().map(String::as_str),
-            "--resume" => resume = it.next().map(String::as_str),
-            "--crash" => crash = it.next().and_then(|v| v.parse().ok()),
-            "--crash-round" => crash_round = it.next().and_then(|v| v.parse().ok()),
-            "--stragglers" => stragglers = it.next().and_then(|v| v.parse().ok()),
-            "--straggler-delay" => straggler_delay = it.next().and_then(|v| v.parse().ok()),
-            "--downlink-omission" => downlink_omission = it.next().and_then(|v| v.parse().ok()),
-            "--duplicate-rate" => duplicate_rate = it.next().and_then(|v| v.parse().ok()),
-            "--retry-budget" => retry_budget = it.next().and_then(|v| v.parse().ok()),
-            "--attempt-timeout" => attempt_timeout = it.next().and_then(|v| v.parse().ok()),
-            "--backoff-base" => backoff_base = it.next().and_then(|v| v.parse().ok()),
-            "--failover" => failover = true,
-            "--proceed-degraded" => proceed_degraded = true,
-            "--transport" => transport = it.next().map(String::as_str),
-            "--net-profile" => net_profile = it.next().map(String::as_str),
-            "--threat-schedule" => threat_schedule = it.next().map(String::as_str),
-            "--estimate-b" => estimate_b = true,
-            "--backend" => backend = it.next().map(String::as_str),
-            other if !other.starts_with("--") && config_path.is_none() => config_path = Some(other),
-            other => {
-                eprintln!("error: unrecognised argument {other}");
-                return usage();
-            }
-        }
-    }
+/// The table key a `fedms run` flag sets: `--some-key` for `some_key`.
+fn config_key(flag: &str) -> Option<&'static fedms::core::ConfigKey> {
+    let name = flag.strip_prefix("--").filter(|k| !k.contains('_'))?;
+    FedMsConfig::key(&name.replace('-', "_"))
+}
 
-    let mut cfg = match config_path {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| serde_json::from_str::<FedMsConfig>(&body).map_err(|e| e.to_string()))
-        {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: could not load {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match FedMsConfig::paper_defaults(42) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+fn run(args: &[String]) -> Outcome {
+    let args = Args::split(args, 1, |flag| match flag {
+        "--out" | "--seed" | "--save-checkpoint" | "--resume" => Some(true),
+        _ => config_key(flag).map(|key| key.kind != ValueKind::Bool),
+    })?;
+    let out_path: Option<String> = args.get("--out")?;
+    let seed: Option<u64> = args.get("--seed")?;
+    let save_checkpoint: Option<String> = args.get("--save-checkpoint")?;
+    let resume: Option<String> = args.get("--resume")?;
+    let mut cfg = match args.positional.first() {
+        Some(path) => load_json(path, serde_json::from_str)
+            .map_err(|e| format!("could not load {path}: {e}"))?,
+        None => FedMsConfig::paper_defaults(42).map_err(|e| e.to_string())?,
     };
-    if let Some(r) = rounds {
-        cfg.rounds = r;
-    }
+    let keys = args.flags.iter().filter_map(|&(flag, v)| config_key(flag).map(|k| (k.name, v)));
+    cfg.apply_keys(keys).map_err(|e| e.to_string())?;
     if let Some(s) = seed {
         cfg.seed = s;
-    }
-    if let Some(n) = crash {
-        cfg.fault.crashed_servers = n;
-    }
-    if let Some(r) = crash_round {
-        cfg.fault.crash_round = r;
-    }
-    if let Some(n) = stragglers {
-        cfg.fault.straggler_servers = n;
-        if cfg.fault.straggler_delay == 0 {
-            cfg.fault.straggler_delay = 1;
-        }
-    }
-    if let Some(d) = straggler_delay {
-        cfg.fault.straggler_delay = d;
-    }
-    if let Some(p) = downlink_omission {
-        cfg.fault.downlink_omission = p;
-    }
-    if let Some(p) = duplicate_rate {
-        cfg.fault.duplicate_rate = p;
-    }
-    if let Some(n) = retry_budget {
-        cfg.recovery.retry_budget = n;
-    }
-    if let Some(ms) = attempt_timeout {
-        cfg.recovery.attempt_timeout_ms = ms;
-    }
-    if let Some(ms) = backoff_base {
-        cfg.recovery.backoff_base_ms = ms;
-        cfg.recovery.backoff_cap_ms = cfg.recovery.backoff_cap_ms.max(ms);
-    }
-    if failover {
-        cfg.recovery.failover = true;
-    }
-    if proceed_degraded {
-        cfg.recovery.on_degraded = fedms::DegradedMode::Proceed;
-    }
-    match transport {
-        None => {}
-        Some("local") => cfg.transport = TransportKind::Local,
-        Some("net") => cfg.transport = TransportKind::Net,
-        Some(other) => {
-            eprintln!("error: unknown transport {other} (expected local or net)");
-            return usage();
-        }
-    }
-    match net_profile {
-        None => {}
-        Some("ideal") => cfg.net_model = NetModel::ideal(),
-        Some("edge") => cfg.net_model = NetModel::edge(),
-        Some(other) => {
-            eprintln!("error: unknown net profile {other} (expected ideal or edge)");
-            return usage();
-        }
-    }
-    if let Some(name) = backend {
-        cfg.backend = match fedms::BackendKind::parse(name) {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("error: bad --backend: {e}");
-                return usage();
-            }
-        };
-    }
-    if let Some(spec) = threat_schedule {
-        cfg.threat = match fedms::ThreatSchedule::parse(spec) {
-            Ok(schedule) => schedule,
-            Err(e) => {
-                eprintln!("error: bad --threat-schedule: {e}");
-                return usage();
-            }
-        };
-    }
-    if estimate_b {
-        cfg.estimator = fedms::EstimatorPolicy::enabled();
     }
 
     println!(
         "fed-ms run: K={} P={} B={} attack={} filter={} rounds={} seed={}",
-        cfg.clients,
-        cfg.servers,
-        cfg.byzantine_count,
-        cfg.attack.label(),
-        cfg.filter.label(),
-        cfg.rounds,
-        cfg.seed
+        cfg.clients, cfg.servers, cfg.byzantine_count, cfg.attack, cfg.filter, cfg.rounds, cfg.seed
     );
     if !cfg.fault.is_trivial() {
         println!(
@@ -569,29 +363,14 @@ fn run(args: &[String]) -> ExitCode {
             }
         );
     }
-    let mut engine = match cfg.build_engine() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut engine = cfg.build_engine().map_err(|e| e.to_string())?;
     println!("transport: {}", engine.transport().name());
-    if let Some(path) = resume {
-        let snapshot: Snapshot = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
-        {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not load checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = engine.restore(&snapshot) {
-            eprintln!("error: checkpoint does not fit this config: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &resume {
+        let snapshot: Snapshot = load_json(path, serde_json::from_str)
+            .map_err(|e| format!("could not load checkpoint {path}: {e}"))?;
+        engine
+            .restore(&snapshot)
+            .map_err(|e| format!("checkpoint does not fit this config: {e}"))?;
         println!("resumed from {path} at round {}", snapshot.round);
     }
     let result = match engine.run(cfg.rounds) {
@@ -620,23 +399,15 @@ fn run(args: &[String]) -> ExitCode {
                     ),
                 }
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    if let Some(path) = save_checkpoint {
-        match serde_json::to_string(&engine.snapshot()) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error: could not write checkpoint {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("checkpoint saved to {path} (round {})", engine.round());
-            }
-            Err(e) => {
-                eprintln!("error: could not serialise checkpoint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = &save_checkpoint {
+        let body = serde_json::to_string(&engine.snapshot())
+            .map_err(|e| format!("could not serialise checkpoint: {e}"))?;
+        std::fs::write(path, body)
+            .map_err(|e| format!("could not write checkpoint {path}: {e}"))?;
+        println!("checkpoint saved to {path} (round {})", engine.round());
     }
     println!("{:>6} {:>10} {:>12}", "round", "accuracy", "train loss");
     for m in &result.rounds {
@@ -663,69 +434,32 @@ fn run(args: &[String]) -> ExitCode {
             comm.retried_uploads, comm.failover_uploads, comm.retried_downloads, comm.deadline_misses
         );
     }
-    if let Some(path) = out_path {
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error: could not write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote metrics to {path}");
-            }
-            Err(e) => {
-                eprintln!("error: could not serialise metrics: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = &out_path {
+        let body = serde_json::to_string_pretty(&result)
+            .map_err(|e| format!("could not serialise metrics: {e}"))?;
+        std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
+        println!("wrote metrics to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `fedms serve <addr> [--expect <n>]` — bind one TCP parameter server
 /// and play a single aggregation round: accept connections until
 /// `--expect` uploads arrive (default 1), folding each into the running
 /// mean and replying with the aggregate-so-far.
-fn serve(args: &[String]) -> ExitCode {
-    let mut addr: Option<&str> = None;
-    let mut expect: usize = 1;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--expect" => expect = it.next().and_then(|v| v.parse().ok()).unwrap_or(expect),
-            other if !other.starts_with("--") && addr.is_none() => addr = Some(other),
-            other => {
-                eprintln!("error: unrecognised argument {other}");
-                return usage();
-            }
-        }
-    }
-    let Some(addr) = addr else {
+fn serve(args: &[String]) -> Outcome {
+    let args = Args::split(args, 1, |flag| (flag == "--expect").then_some(true))?;
+    let Some(&addr) = args.positional.first() else {
         return usage();
     };
-    let round = match TcpRound::bind(addr) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: could not bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match round.local_addr() {
-        Ok(bound) => println!(
-            "serving one round on {bound} (waiting for {expect} upload{})",
-            if expect == 1 { "" } else { "s" }
-        ),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let report = match round.serve(expect) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let expect: usize = args.get("--expect")?.unwrap_or(1);
+    let round = TcpRound::bind(addr).map_err(|e| format!("could not bind {addr}: {e}"))?;
+    let bound = round.local_addr().map_err(|e| e.to_string())?;
+    println!(
+        "serving one round on {bound} (waiting for {expect} upload{})",
+        if expect == 1 { "" } else { "s" }
+    );
+    let report = round.serve(expect).map_err(|e| e.to_string())?;
     println!(
         "round complete: {} uploads, {} frames read, {} frames written",
         report.uploads, report.frames_read, report.frames_written
@@ -733,55 +467,36 @@ fn serve(args: &[String]) -> ExitCode {
     if let Some(agg) = report.aggregate {
         println!("aggregate: {}", preview_tensor(&agg));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]` —
 /// connect to a `fedms serve` round, upload a constant model of `--dim`
 /// coordinates (filled with `--value`, defaulting to the client id) and
 /// print the server's aggregate reply.
-fn client(args: &[String]) -> ExitCode {
-    let mut addr: Option<&str> = None;
-    let mut client_id: usize = 0;
-    let mut dim: usize = 8;
-    let mut value: Option<f32> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--client" => client_id = it.next().and_then(|v| v.parse().ok()).unwrap_or(client_id),
-            "--dim" => dim = it.next().and_then(|v| v.parse().ok()).unwrap_or(dim),
-            "--value" => value = it.next().and_then(|v| v.parse().ok()),
-            other if !other.starts_with("--") && addr.is_none() => addr = Some(other),
-            other => {
-                eprintln!("error: unrecognised argument {other}");
-                return usage();
-            }
-        }
-    }
-    let Some(addr) = addr else {
+fn client(args: &[String]) -> Outcome {
+    let args = Args::split(args, 1, |flag| {
+        matches!(flag, "--client" | "--dim" | "--value").then_some(true)
+    })?;
+    let Some(&addr) = args.positional.first() else {
         return usage();
     };
+    let client_id: usize = args.get("--client")?.unwrap_or(0);
+    let dim: usize = args.get("--dim")?.unwrap_or(8);
     if dim == 0 {
-        eprintln!("error: --dim must be positive");
-        return ExitCode::FAILURE;
+        return Err("--dim must be positive".into());
     }
-    let fill = value.unwrap_or(client_id as f32);
+    let fill = args.get("--value")?.unwrap_or(client_id as f32);
     let model = Tensor::from_slice(&vec![fill; dim]);
-    match run_client(addr, client_id, &model) {
-        Ok((contributors, aggregate)) => {
-            println!(
-                "uploaded {dim} coordinates as client {client_id}; \
-                 aggregate over {contributors} contributor{}: {}",
-                if contributors == 1 { "" } else { "s" },
-                preview_tensor(&aggregate)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (contributors, aggregate) =
+        run_client(addr, client_id, &model).map_err(|e| e.to_string())?;
+    println!(
+        "uploaded {dim} coordinates as client {client_id}; \
+         aggregate over {contributors} contributor{}: {}",
+        if contributors == 1 { "" } else { "s" },
+        preview_tensor(&aggregate)
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Formats the first few coordinates of a tensor for terminal output.

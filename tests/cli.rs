@@ -122,3 +122,106 @@ fn unknown_flag_rejected() {
     let out = fedms().args(["run", "--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());
 }
+
+#[test]
+fn run_rejects_malformed_config_flag_values() {
+    for (args, needle) in [
+        (&["--rounds", "abc"][..], "rounds"),
+        (&["--crashed-servers", "two"], "crashed_servers"),
+        (&["--retry-budget", "-1"], "retry_budget"),
+        (&["--attack", "signflip"], "unknown attack"),
+        (&["--transport", "pigeon"], "transport"),
+        (&["--seed", "x"], "--seed"),
+        (&["--rounds"], "--rounds"),
+    ] {
+        let out = fedms().arg("run").args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    // Flags are the table keys only: no short forms, no underscores.
+    for old in
+        ["--crash", "--stragglers", "--attempt-timeout", "--backoff-base", "--crashed_servers"]
+    {
+        let out = fedms().args(["run", old, "1"]).output().expect("binary runs");
+        assert!(!out.status.success(), "{old} must be rejected");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognised argument"));
+    }
+}
+
+#[test]
+fn other_subcommands_reject_malformed_flag_values() {
+    for args in [
+        &["exp", "run", "experiments/smoke.toml", "--threads", "many"][..],
+        &["exp", "run", "experiments/smoke.toml", "--out-dir"],
+        &["serve", "127.0.0.1:0", "--expect", "two"],
+        &["client", "127.0.0.1:9", "--client", "x"],
+        &["client", "127.0.0.1:9", "--dim", "-4"],
+        &["client", "127.0.0.1:9", "--value", "big"],
+    ] {
+        let out = fedms().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2..].iter().find(|a| a.starts_with("--")).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
+}
+
+/// The first column of the indented lines under each header of a
+/// `fedms attacks` / `fedms filters` listing.
+fn listed_names(subcommand: &str) -> Vec<Vec<String>> {
+    let out = fedms().arg(subcommand).output().expect("binary runs");
+    assert!(out.status.success());
+    let mut sections: Vec<Vec<String>> = Vec::new();
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        match line.strip_prefix("  ") {
+            Some(entry) => sections
+                .last_mut()
+                .unwrap()
+                .push(entry.split_whitespace().next().unwrap().to_string()),
+            None if line.ends_with(':') => sections.push(Vec::new()),
+            None => {}
+        }
+    }
+    sections
+}
+
+#[test]
+fn listed_kind_names_parse_through_the_key_table() {
+    let attacks = listed_names("attacks");
+    let filters = listed_names("filters");
+    assert_eq!(attacks.len(), 2);
+    assert_eq!(filters.len(), 1);
+    // Every variant is listed.
+    assert_eq!(attacks[0].len(), fedms::AttackKind::DEFAULTS.len());
+    assert_eq!(attacks[1].len(), fedms::ClientAttackKind::DEFAULTS.len());
+    assert_eq!(filters[0].len(), fedms::FilterKind::DEFAULTS.len());
+    for name in ["centeredclip:1", "normbound:3", "trimmed:0.2", "mean"] {
+        assert!(filters[0].iter().any(|f| f == name), "filters missing {name}");
+    }
+    // Every listed token is a value the spec keys accept.
+    let axis =
+        |names: &[String]| names.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>().join(", ");
+    let spec = format!(
+        "[experiment]\nname = \"listed\"\nscale = \"tiny\"\nrounds = 1\n\n[grid]\n\
+         attack = [{}]\nclient_attack = [{}]\nfilter = [{}]\n",
+        axis(&attacks[0]),
+        axis(&attacks[1]),
+        axis(&filters[0])
+    );
+    let path = temp_path("listed.toml");
+    std::fs::write(&path, spec).unwrap();
+    let out = fedms().args(["exp", "list", path.to_str().unwrap()]).output().expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cells = attacks[0].len() * attacks[1].len() * filters[0].len();
+    assert!(stdout.contains(&format!("{cells} trials")), "{stdout}");
+    for (key, names) in
+        [("attack", &attacks[0]), ("client_attack", &attacks[1]), ("filter", &filters[0])]
+    {
+        for name in names {
+            assert!(stdout.contains(&format!("{key}={name}")), "{key}={name} not expanded");
+        }
+    }
+}

@@ -42,7 +42,7 @@ fn parallel_matches_sequential_under_active_faults() {
     let fault = |cfg: &mut FedMsConfig| {
         cfg.byzantine_count = 1;
         cfg.attack = AttackKind::Noise { std: 0.5 };
-        cfg.filter = FilterKind::fedms_adaptive(1);
+        cfg.filter = FilterKind::AdaptiveTrimmedMean { trim: 1 };
         cfg.fault.crashed_servers = 1;
         cfg.fault.crash_round = 2;
         cfg.fault.straggler_servers = 1;

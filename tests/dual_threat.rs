@@ -113,7 +113,7 @@ fn crash_plus_byzantine_still_converges() {
     let mut cfg = base(26);
     cfg.byzantine_count = 1;
     cfg.attack = AttackKind::Random { lo: -10.0, hi: 10.0 };
-    cfg.filter = FilterKind::fedms_adaptive(1);
+    cfg.filter = FilterKind::AdaptiveTrimmedMean { trim: 1 };
     cfg.fault.crashed_servers = 1;
     cfg.fault.crash_round = 3;
     let acc = cfg.run().unwrap().final_accuracy().unwrap();
@@ -128,7 +128,7 @@ fn quorum_collapse_is_a_typed_error_not_a_panic() {
     let mut cfg = base(27);
     cfg.byzantine_count = 1;
     cfg.attack = AttackKind::Noise { std: 1.0 };
-    cfg.filter = FilterKind::fedms_adaptive(1);
+    cfg.filter = FilterKind::AdaptiveTrimmedMean { trim: 1 };
     cfg.fault.crashed_servers = 2;
     cfg.fault.crash_round = 1;
     match cfg.run() {
@@ -150,14 +150,14 @@ fn table_ii_scale_crash_faults_cost_little_accuracy() {
     baseline.servers = 10;
     baseline.byzantine_count = 2;
     baseline.attack = AttackKind::Noise { std: 1.0 };
-    baseline.filter = FilterKind::fedms_adaptive(2);
+    baseline.filter = FilterKind::AdaptiveTrimmedMean { trim: 2 };
     let clean_acc = baseline.run().unwrap().final_accuracy().unwrap();
 
     let mut faulted = base(28);
     faulted.servers = 10;
     faulted.byzantine_count = 2;
     faulted.attack = AttackKind::Noise { std: 1.0 };
-    faulted.filter = FilterKind::fedms_adaptive(2);
+    faulted.filter = FilterKind::AdaptiveTrimmedMean { trim: 2 };
     faulted.fault.crashed_servers = 2;
     faulted.fault.crash_round = 2;
     let fault_acc = faulted.run().unwrap().final_accuracy().unwrap();
