@@ -2,14 +2,17 @@
 //!
 //! Measures the three hot paths of client training — the linear-layer GEMM,
 //! a conv forward/backward step, and a full mini-batch SGD step — under the
-//! scalar reference backend and the blocked backend at the paper model
+//! scalar default backend and the blocked backend at the paper model
 //! shape (the `192 → 64 → 10` MLP trained with batch 32, and the
 //! MobileNet-nano stem convolution), then writes a provenance-stamped
-//! report (`BENCH_nn.json`).
+//! report (`BENCH_nn.json`). The GEMM gets a third row, `reference`: the
+//! retained dot-product loop (`fedms_tensor::backend::reference`) that the
+//! scalar kernel reproduces bit for bit.
 //!
 //! The blocked backend reassociates f32 reductions, so cross-backend
 //! checksums are compared within a per-workload tolerance rather than
-//! bit-exactly; a mismatch beyond tolerance fails the run.
+//! bit-exactly; a mismatch beyond tolerance fails the run. The scalar and
+//! reference GEMM checksums must match exactly.
 //!
 //! Usage:
 //!
@@ -23,11 +26,14 @@
 //! * `--out PATH` — where to write the report (default `BENCH_nn.json`).
 //! * `--check BASELINE` — compare against a committed report and exit
 //!   non-zero on regression:
-//!   - blocked GEMM throughput below `(1 − tolerance) ×` the baseline's
-//!     (hardware-sensitive, hence the generous default tolerance 0.5);
-//!   - blocked-vs-scalar GEMM speedup below `--min-speedup`
+//!   - blocked or scalar GEMM throughput below `(1 − tolerance) ×` the
+//!     baseline's (hardware-sensitive, hence the generous default tolerance
+//!     0.5);
+//!   - blocked-over-reference GEMM speedup below `--min-speedup`
 //!     (machine-portable; default 3, the acceptance floor 4 minus CI
 //!     noise margin).
+//!
+//!   Blocked over scalar is printed for information only.
 //!
 //! The bin requires the `backend-blocked` feature — without it there is
 //! nothing to compare, and `main` exits with an explanatory error.
@@ -39,6 +45,7 @@ mod bench {
         Workload,
     };
     use fedms_nn::{Conv2d, Layer, LrSchedule, Mlp, NeuralNet, Sgd};
+    use fedms_tensor::backend::reference;
     use fedms_tensor::rng::rng_for;
     use fedms_tensor::{BackendHandle, BackendKind, Conv2dGeometry, Tensor};
     use serde::{Deserialize, Serialize};
@@ -88,6 +95,23 @@ mod bench {
         speedup: f64,
     }
 
+    /// The three linear-layer GEMM rows.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct GemmRows {
+        /// The retained dot-product loop (what `gemm/scalar` timed before
+        /// the scalar kernel went k-major).
+        reference: Measurement,
+        /// The scalar backend, the default.
+        scalar: Measurement,
+        /// The blocked backend (single intra-op thread).
+        blocked: Measurement,
+        /// `reference.median / blocked.median` — the gated, machine-portable
+        /// signal.
+        blocked_over_reference: f64,
+        /// `scalar.median / blocked.median` — information only.
+        blocked_over_scalar: f64,
+    }
+
     /// The persisted report (`BENCH_nn.json`).
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct Report {
@@ -102,7 +126,7 @@ mod bench {
         /// The measured workload shapes.
         workload: WorkloadSpec,
         /// The linear-layer GEMM (`matmul_transb` at the paper shape).
-        matmul: BackendPair,
+        matmul: GemmRows,
         /// Conv2d forward + backward at the nano stem shape.
         conv: BackendPair,
         /// A full `train_batch` SGD step on the paper MLP.
@@ -111,21 +135,30 @@ mod bench {
         memory: MemoryInfo,
     }
 
+    /// Which `matmul_transb` a GEMM row times.
+    #[derive(Clone, Copy)]
+    enum GemmKernel {
+        /// `fedms_tensor::backend::reference::matmul_transb`.
+        Reference,
+        /// A backend's kernel.
+        Backend(BackendHandle),
+    }
+
     /// One iteration = `GEMM_REPS` applications of `out = a · bᵀ` at the
     /// paper linear-layer shape.
     struct MatmulWorkload {
         name: &'static str,
-        backend: BackendHandle,
+        kernel: GemmKernel,
         a: Vec<f32>,
         b: Vec<f32>,
         out: Vec<f32>,
     }
 
     impl MatmulWorkload {
-        fn new(name: &'static str, backend: BackendHandle) -> Self {
+        fn new(name: &'static str, kernel: GemmKernel) -> Self {
             MatmulWorkload {
                 name,
-                backend,
+                kernel,
                 a: pseudo_values(0xA, GEMM_M * GEMM_K),
                 b: pseudo_values(0xB, GEMM_N * GEMM_K),
                 out: vec![0.0; GEMM_M * GEMM_N],
@@ -145,9 +178,15 @@ mod bench {
         }
         fn run(&mut self) -> f64 {
             let mut checksum = 0.0f64;
+            let (a, b, out) = (&self.a, &self.b, &mut self.out);
             for _ in 0..GEMM_REPS {
-                self.backend.matmul_transb(&self.a, &self.b, &mut self.out, GEMM_M, GEMM_K, GEMM_N);
-                checksum += f64::from(self.out[0]) + f64::from(self.out[GEMM_M * GEMM_N - 1]);
+                match self.kernel {
+                    GemmKernel::Reference => {
+                        reference::matmul_transb(a, b, out, GEMM_M, GEMM_K, GEMM_N)
+                    }
+                    GemmKernel::Backend(h) => h.matmul_transb(a, b, out, GEMM_M, GEMM_K, GEMM_N),
+                }
+                checksum += f64::from(out[0]) + f64::from(out[GEMM_M * GEMM_N - 1]);
             }
             checksum
         }
@@ -290,41 +329,108 @@ mod bench {
         Ok(BackendPair { scalar, blocked, speedup })
     }
 
+    /// Measures the three GEMM rows. The scalar kernel keeps the
+    /// reference's per-element operation order, so their checksums must be
+    /// equal bit for bit; the blocked one is held to `tol`.
+    fn measure_gemm(
+        harness: &Harness,
+        blocked: BackendHandle,
+        tol: f64,
+    ) -> Result<GemmRows, String> {
+        let reference =
+            harness.measure(&mut MatmulWorkload::new("gemm/reference", GemmKernel::Reference));
+        let pair = measure_pair(
+            harness,
+            &mut MatmulWorkload::new("gemm/scalar", GemmKernel::Backend(BackendHandle::scalar())),
+            &mut MatmulWorkload::new("gemm/blocked", GemmKernel::Backend(blocked)),
+            tol,
+        )?;
+        if pair.scalar.checksum.to_bits() != reference.checksum.to_bits() {
+            return Err(format!(
+                "gemm/scalar: checksum {} differs from the reference loop's {}",
+                pair.scalar.checksum, reference.checksum
+            ));
+        }
+        Ok(GemmRows {
+            blocked_over_reference: reference.median_secs_per_iter
+                / pair.blocked.median_secs_per_iter,
+            blocked_over_scalar: pair.speedup,
+            reference,
+            scalar: pair.scalar,
+            blocked: pair.blocked,
+        })
+    }
+
+    /// Fails when `now`'s throughput drops below `(1 − tolerance) ×` the
+    /// baseline row's.
+    fn throughput_gate(
+        row: &str,
+        now: &Measurement,
+        base: &Measurement,
+        baseline: &Report,
+        tolerance: f64,
+    ) -> Result<(), String> {
+        let floor = base.coords_per_sec * (1.0 - tolerance);
+        println!(
+            "gate: {row} {:.3e} coords/s vs baseline {:.3e} (floor {:.3e}, tolerance {tolerance})",
+            now.coords_per_sec, base.coords_per_sec, floor
+        );
+        if now.coords_per_sec < floor {
+            return Err(format!(
+                "{row} regressed: {:.3e} coords/s < floor {:.3e} \
+                 (baseline {:.3e} from {} on {})",
+                now.coords_per_sec,
+                floor,
+                base.coords_per_sec,
+                baseline.git_rev,
+                baseline.machine.cpu_model,
+            ));
+        }
+        Ok(())
+    }
+
     fn check_against(report: &Report, baseline_path: &Path, args: &GateArgs) -> Result<(), String> {
         let body = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
         let baseline: Report =
             serde_json::from_str(&body).map_err(|e| format!("cannot parse baseline: {e}"))?;
-        let floor = baseline.matmul.blocked.coords_per_sec * (1.0 - args.tolerance);
+        let (now, base) = (&report.matmul, &baseline.matmul);
+        throughput_gate("blocked gemm", &now.blocked, &base.blocked, &baseline, args.tolerance)?;
+        throughput_gate("scalar gemm", &now.scalar, &base.scalar, &baseline, args.tolerance)?;
         println!(
-            "gate: blocked gemm {:.3e} coords/s vs baseline {:.3e} (floor {:.3e}, tolerance {})",
-            report.matmul.blocked.coords_per_sec,
-            baseline.matmul.blocked.coords_per_sec,
-            floor,
-            args.tolerance
+            "gate: gemm blocked over reference {:.1}x vs required {:.1}x",
+            now.blocked_over_reference, args.min_speedup
         );
-        if report.matmul.blocked.coords_per_sec < floor {
+        if now.blocked_over_reference < args.min_speedup {
             return Err(format!(
-                "blocked gemm regressed: {:.3e} coords/s < floor {:.3e} \
-                 (baseline {:.3e} from {} on {})",
-                report.matmul.blocked.coords_per_sec,
-                floor,
-                baseline.matmul.blocked.coords_per_sec,
-                baseline.git_rev,
-                baseline.machine.cpu_model,
+                "blocked gemm speedup over the reference loop fell to {:.1}x (< {:.1}x)",
+                now.blocked_over_reference, args.min_speedup
             ));
         }
-        println!(
-            "gate: gemm speedup {:.1}x vs required {:.1}x",
-            report.matmul.speedup, args.min_speedup
-        );
-        if report.matmul.speedup < args.min_speedup {
-            return Err(format!(
-                "blocked gemm speedup over the scalar reference fell to {:.1}x (< {:.1}x)",
-                report.matmul.speedup, args.min_speedup
-            ));
-        }
+        println!("info: gemm blocked over scalar {:.1}x (not gated)", now.blocked_over_scalar);
         Ok(())
+    }
+
+    /// Measures every workload: the GEMM rows, then the conv and SGD pairs.
+    fn measure_all(
+        harness: &Harness,
+        blocked: BackendHandle,
+    ) -> Result<(GemmRows, BackendPair, BackendPair), String> {
+        let scalar = BackendHandle::scalar();
+        let matmul = measure_gemm(harness, blocked, 1e-4)?;
+        let conv = measure_pair(
+            harness,
+            &mut ConvWorkload::new("conv/scalar", scalar),
+            &mut ConvWorkload::new("conv/blocked", blocked),
+            1e-3,
+        )?;
+        let sgd_step = measure_pair(
+            harness,
+            &mut SgdStepWorkload::new("sgd/scalar", scalar),
+            &mut SgdStepWorkload::new("sgd/blocked", blocked),
+            1e-2,
+        )?;
+        Ok((matmul, conv, sgd_step))
     }
 
     pub fn main() -> ExitCode {
@@ -337,7 +443,6 @@ mod bench {
         };
         let harness = if args.quick { Harness::quick() } else { Harness::full() };
 
-        let scalar = BackendHandle::scalar();
         // One intra-op thread: the engine's client-parallel phases own the
         // cores, so the single-thread kernel speed is the honest signal.
         let blocked = match BackendKind::Blocked.resolve(1) {
@@ -348,42 +453,16 @@ mod bench {
             }
         };
 
-        let pairs: Result<Vec<BackendPair>, String> =
-            [("matmul", 1e-4), ("conv", 1e-3), ("sgd_step", 1e-2)]
-                .iter()
-                .map(|&(which, tol)| match which {
-                    "matmul" => measure_pair(
-                        &harness,
-                        &mut MatmulWorkload::new("gemm/scalar", scalar),
-                        &mut MatmulWorkload::new("gemm/blocked", blocked),
-                        tol,
-                    ),
-                    "conv" => measure_pair(
-                        &harness,
-                        &mut ConvWorkload::new("conv/scalar", scalar),
-                        &mut ConvWorkload::new("conv/blocked", blocked),
-                        tol,
-                    ),
-                    _ => measure_pair(
-                        &harness,
-                        &mut SgdStepWorkload::new("sgd/scalar", scalar),
-                        &mut SgdStepWorkload::new("sgd/blocked", blocked),
-                        tol,
-                    ),
-                })
-                .collect();
-        let pairs = match pairs {
-            Ok(p) => p,
+        let (matmul, conv, sgd_step) = match measure_all(&harness, blocked) {
+            Ok(m) => m,
             Err(e) => {
                 eprintln!("nnbench: CHECKSUM MISMATCH: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        let [matmul, conv, sgd_step]: [BackendPair; 3] =
-            pairs.try_into().expect("three workload pairs");
 
         let report = Report {
-            schema: 1,
+            schema: 2,
             git_rev: fedms_exp::git_rev(),
             machine: MachineInfo::detect(),
             quick: args.quick,
@@ -401,9 +480,17 @@ mod bench {
             memory: MemoryInfo { peak_rss_bytes: peak_rss_bytes(), pool_high_water_bytes: None },
         };
 
-        for (label, pair) in
-            [("gemm", &report.matmul), ("conv", &report.conv), ("sgd ", &report.sgd_step)]
-        {
+        let gemm = &report.matmul;
+        println!(
+            "gemm: reference {:>10.3e} coords/s  scalar {:>10.3e} coords/s  \
+             blocked {:>10.3e} coords/s  (blocked/reference {:.1}x, blocked/scalar {:.1}x)",
+            gemm.reference.coords_per_sec,
+            gemm.scalar.coords_per_sec,
+            gemm.blocked.coords_per_sec,
+            gemm.blocked_over_reference,
+            gemm.blocked_over_scalar
+        );
+        for (label, pair) in [("conv", &report.conv), ("sgd ", &report.sgd_step)] {
             println!(
                 "{label}: scalar {:>10.3e} coords/s  blocked {:>10.3e} coords/s  ({:.1}x)",
                 pair.scalar.coords_per_sec, pair.blocked.coords_per_sec, pair.speedup

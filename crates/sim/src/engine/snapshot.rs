@@ -106,8 +106,11 @@ impl SimulationEngine {
     ///
     /// Returns [`SimError::SnapshotVersion`] for a snapshot written with an
     /// unknown layout version, and [`SimError::BadConfig`] if the
-    /// snapshot's entity counts or model sizes do not match this engine.
+    /// snapshot's entity counts, model or server-state sizes, estimator or
+    /// recovery state lengths do not match this engine, or its round is
+    /// beyond [`u32::MAX`]. Nothing is changed when it fails.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<()> {
+        let dim = self.store.model_len();
         match snapshot.version {
             1 => {
                 if snapshot.client_models.len() != self.store.num_clients() {
@@ -117,7 +120,7 @@ impl SimulationEngine {
                         self.store.num_clients()
                     )));
                 }
-                if snapshot.client_models.iter().any(|m| m.len() != self.store.model_len()) {
+                if !snapshot.client_models.iter().all(|m| is_model_vector(m, dim)) {
                     return Err(SimError::BadConfig(
                         "snapshot model size does not match the engine's model".into(),
                     ));
@@ -131,7 +134,7 @@ impl SimulationEngine {
                         self.store.num_clients()
                     )));
                 }
-                if snapshot.model_pool.iter().any(|m| m.len() != self.store.model_len()) {
+                if !snapshot.model_pool.iter().all(|m| is_model_vector(m, dim)) {
                     return Err(SimError::BadConfig(
                         "snapshot model size does not match the engine's model".into(),
                     ));
@@ -151,6 +154,36 @@ impl SimulationEngine {
                 "snapshot has {} servers, engine has {}",
                 snapshot.server_state.len(),
                 self.servers.len()
+            )));
+        }
+        for (s, (history, last, outbox)) in snapshot.server_state.iter().enumerate() {
+            if !history.iter().chain(last).chain(outbox).all(|m| is_model_vector(m, dim)) {
+                return Err(SimError::BadConfig(format!(
+                    "snapshot state of server {s} holds a model whose size does not match the \
+                     engine's model"
+                )));
+            }
+        }
+        // Both lists are empty when their layer is off (and in snapshots
+        // from older builds); otherwise they hold one entry per server.
+        for (what, len) in [
+            ("estimator scores", snapshot.estimator_scores.len()),
+            ("recovery records", snapshot.recovery_state.len()),
+        ] {
+            if len != 0 && len != self.servers.len() {
+                return Err(SimError::BadConfig(format!(
+                    "snapshot has {len} {what}, engine has {} servers",
+                    self.servers.len()
+                )));
+            }
+        }
+        // Later rounds do arithmetic on the round number; no real run gets
+        // near this bound.
+        if snapshot.round > u32::MAX as usize {
+            return Err(SimError::BadConfig(format!(
+                "snapshot round {} is beyond the supported {}",
+                snapshot.round,
+                u32::MAX
             )));
         }
         if snapshot.version == 1 {
@@ -178,4 +211,10 @@ impl SimulationEngine {
         self.result = snapshot.result.clone();
         Ok(())
     }
+}
+
+/// Whether `t` is a flat model vector of `len` coordinates. A decoded
+/// tensor's shape and data are separate fields, so both are checked.
+fn is_model_vector(t: &Tensor, len: usize) -> bool {
+    t.len() == len && t.dims() == [len]
 }

@@ -5,10 +5,12 @@
 //! primitives and the SGD parameter update — is routed through the
 //! [`Backend`] trait. Two implementations ship:
 //!
-//! * [`ScalarBackend`] — the original hand-rolled loops, moved here
-//!   verbatim. This is the **deterministic CI oracle**: every run on it is
-//!   bit-identical to the code that predates the backend abstraction, and
-//!   it stays the default everywhere.
+//! * [`ScalarBackend`] — the original hand-rolled kernels, with the same
+//!   per-element operation order; `matmul_transb` runs k-major over a
+//!   packed bᵀ so it vectorizes (its old dot-product loop is kept in
+//!   [`reference`] as the oracle). This is the **deterministic CI
+//!   oracle**: every run on it is bit-identical to the code that predates
+//!   the backend abstraction, and it stays the default everywhere.
 //! * `BlockedBackend` (behind the `backend-blocked` feature) — cache
 //!   blocked, autovectorization-friendly kernels with optional intra-op
 //!   threading. It reassociates floating-point reductions, so results are
@@ -23,6 +25,7 @@
 use crate::conv::Conv2dGeometry;
 use crate::TensorError;
 
+pub mod reference;
 mod scalar;
 pub use scalar::ScalarBackend;
 

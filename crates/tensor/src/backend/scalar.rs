@@ -1,16 +1,20 @@
-//! The reference scalar backend: the pre-backend loop bodies, moved verbatim.
+//! The default scalar backend: the pre-backend kernels, with the same
+//! per-element floating-point operation order.
 //!
-//! Every kernel here preserves the exact floating-point expression order of
-//! the code it was lifted from (`ops.rs`, `conv.rs` and the NN crate's
-//! softmax/SGD inner loops), so routing through this backend is bit-identical
-//! to the pre-refactor engine — the property the checked-in run digests in
-//! `tests/backend_parity.rs` pin.
+//! Every kernel here performs, for each output element, exactly the
+//! operations of the code it was lifted from (`ops.rs`, `conv.rs` and the
+//! NN crate's softmax/SGD inner loops), in the same order, so routing
+//! through this backend is bit-identical to the pre-refactor engine — the
+//! property the checked-in run digests in `tests/backend_parity.rs` pin.
+//! Most loop bodies are unchanged; `matmul_transb` runs k-major over a
+//! packed bᵀ so it vectorizes, and is pinned bit for bit to the retained
+//! dot-product loop in [`super::reference`].
 
 use crate::conv::Conv2dGeometry;
 
 use super::Backend;
 
-/// The deterministic single-threaded reference backend (the default).
+/// The deterministic single-threaded backend: the default and the CI oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
 
@@ -36,15 +40,25 @@ impl Backend for ScalarBackend {
     }
 
     fn matmul_transb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        // Pack bᵀ (k×n) so the k loop can run outermost: each output element
+        // still sees `+0.0`, then `acc += a[i,kk] · b[j,kk]` for kk ascending
+        // — the dot-product chain of `reference::matmul_transb` — but the n
+        // chains of a row advance side by side and vectorize. No zero-skip:
+        // the dot form has none, and skipping `0 · inf` would drop a NaN.
+        let mut bt = vec![0.0f32; k * n];
+        for j in 0..n {
+            for (kk, &v) in b[j * k..(j + 1) * k].iter().enumerate() {
+                bt[kk * n + j] = v;
+            }
+        }
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in arow.iter().zip(brow.iter()) {
-                    acc += x * y;
+            let orow = &mut out[i * n..(i + 1) * n];
+            orow.fill(0.0);
+            for (kk, &aik) in arow.iter().enumerate() {
+                for (o, &y) in orow.iter_mut().zip(bt[kk * n..(kk + 1) * n].iter()) {
+                    *o += aik * y;
                 }
-                out[i * n + j] = acc;
             }
         }
     }
