@@ -474,9 +474,11 @@ impl SimulationEngine {
         self.store.distinct_models()
     }
 
-    /// Counters of the engine's downlink buffer pool (see
-    /// [`PoolStats`]); `high_water_bytes` bounds the transient filter-view
-    /// memory of the run so far.
+    /// Counters of the engine's filter-view buffer pool (see
+    /// [`PoolStats`]). The filter phase copies each distinct view's `P`
+    /// shared payloads into pooled tensors only while `Def(·)` runs over
+    /// them, so `high_water_bytes` stays within `threads × P × dim × 4`
+    /// bytes — one view per busy worker — whatever the cohort size.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -664,8 +666,8 @@ impl SimulationEngine {
         }
 
         // 5. Client-side filtering (lines 12–13): w_{t+1,0}^k = Def(ã…),
-        // over however many models survive the faults, block by block
-        // through the buffer pool.
+        // over however many models survive the faults, once per distinct
+        // view.
         let capture_views = self.record_diagnostics && evaluate;
         let filter: &dyn AggregationRule = match adaptive.as_ref() {
             Some(rule) => rule,
@@ -696,7 +698,7 @@ impl SimulationEngine {
         let diagnostics = if capture_views {
             Some(phases::diagnostics(phases::DiagnosticsCtx {
                 views: &outcome.first_views,
-                filtered0: &outcome.models[0],
+                filtered0: &outcome.outputs[outcome.assignment[0]],
                 store: &self.store,
                 active: &active,
                 trained: &trained,
@@ -707,12 +709,11 @@ impl SimulationEngine {
             None
         };
 
-        // Commit: install the cohort's filtered models into the bank (the
-        // rest of the federation keeps its banked state), advance the
-        // round, absorb the transport's counters.
-        for (&k, model) in cohort.iter().zip(outcome.models) {
-            self.store.set_model(k, model)?;
-        }
+        // Commit: install the cohort's filtered models into the bank, each
+        // distinct output once (the rest of the federation keeps its
+        // banked state), advance the round, absorb the transport's
+        // counters.
+        self.store.commit_shared(&cohort, outcome.outputs, &outcome.assignment)?;
         self.store.sweep();
         self.round += 1;
         let comm = self.transport.take_comm();

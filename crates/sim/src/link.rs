@@ -26,6 +26,7 @@
 //! same fate whichever carrier moves it.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
@@ -263,17 +264,17 @@ impl LinkFate {
 
 /// Appends the `copies` deliveries [`LinkFate::downlink`] realized for one
 /// dissemination: the first [`DeliveryOutcome::Delivered`], a second
-/// [`DeliveryOutcome::Duplicated`].
+/// [`DeliveryOutcome::Duplicated`] — each a shared handle on `model`.
 pub(crate) fn push_copies(
     out: &mut Vec<Delivery>,
     server: usize,
     copies: usize,
-    mut materialize: impl FnMut() -> Tensor,
+    model: &Arc<Tensor>,
 ) {
     for copy in 0..copies {
         let outcome =
             if copy == 0 { DeliveryOutcome::Delivered } else { DeliveryOutcome::Duplicated };
-        out.push(Delivery { server, model: materialize(), outcome });
+        out.push(Delivery { server, model: Arc::clone(model), outcome });
     }
 }
 

@@ -5,8 +5,8 @@
 //! runs as its own actor consuming length-prefixed
 //! [`Frame`](crate::net::Frame)s from a bounded channel (backpressure: a
 //! sender that outruns a server blocks), and one downlink-router actor
-//! stores the decoded disseminations and copies each client's downlink out
-//! on request. Uploads to the same server are coalesced into
+//! stores the decoded disseminations — each payload wrapped in an `Arc`
+//! once, at decode — and hands each client shared handles on request. Uploads to the same server are coalesced into
 //! `Frame::UploadBatch` frames (flushed at the batch bound or when the
 //! inbox is taken), which is where the frames/s vs bytes/s trade-off of
 //! the bench lives.
@@ -38,7 +38,9 @@ use crate::net::model::NetModel;
 use crate::net::wire::{decode_frame, encode_frame, BatchedUpload, Frame, WireError};
 use crate::recovery::UploadReport;
 use crate::threat::NetThreat;
-use crate::transport::{Broadcast, Delivery, DeliveryOutcome, Dissemination, Transport, Upload};
+use crate::transport::{
+    Broadcast, Delivery, DeliveryOutcome, SharedDissemination, Transport, Upload,
+};
 use crate::{CommStats, FaultPlan, Result};
 
 /// Default uploads coalesced per frame.
@@ -84,7 +86,7 @@ enum RouterMsg {
         round: usize,
     },
     Frame(Vec<u8>),
-    /// Copy out `client`'s downlink: `copies[i]` deliveries of the `i`-th
+    /// Hand out `client`'s downlink: `copies[i]` deliveries of the `i`-th
     /// stored dissemination, as the fate decided.
     Drain {
         client: usize,
@@ -141,10 +143,11 @@ fn server_actor(rx: Receiver<ServerMsg>) {
 }
 
 /// The downlink router actor: stores the decoded disseminations of the
-/// round and copies out whatever the fate selected for each client.
+/// round as shared payloads and hands out whatever the fate selected for
+/// each client.
 fn router_actor(rx: Receiver<RouterMsg>) {
     let mut round = 0usize;
-    let mut queued: Vec<(usize, Dissemination)> = Vec::new();
+    let mut queued: Vec<(usize, SharedDissemination)> = Vec::new();
     let mut error: Option<WireError> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -155,7 +158,7 @@ fn router_actor(rx: Receiver<RouterMsg>) {
             }
             RouterMsg::Frame(bytes) => match decode_frame(&bytes) {
                 Ok((Frame::Broadcast { round: r, server, model }, _)) if r as usize == round => {
-                    queued.push((server as usize, model));
+                    queued.push((server as usize, model.into()));
                 }
                 Ok(_) => {}
                 Err(e) => {
@@ -167,11 +170,11 @@ fn router_actor(rx: Receiver<RouterMsg>) {
                 let mut items = Vec::with_capacity(queued.len());
                 for ((server, diss), &n) in queued.iter().zip(&copies) {
                     // Coverage is validated at broadcast; skip, not panic.
-                    let Ok(m) = diss.for_client(client) else {
+                    let Some(m) = diss.for_client(client) else {
                         debug_assert!(false, "queued dissemination misses client {client}");
                         continue;
                     };
-                    push_copies(&mut items, *server, n, || m.clone());
+                    push_copies(&mut items, *server, n, m);
                 }
                 let _ = reply.send(Reply { items, error: error.take() });
             }
@@ -467,6 +470,7 @@ impl Drop for NetTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Dissemination;
 
     fn up(client: usize, server: usize, v: f32) -> Upload {
         Upload { client, server, model: Tensor::from_slice(&[v, v]) }

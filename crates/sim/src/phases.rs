@@ -12,7 +12,7 @@
 //! 4. [`disseminate`] — (possibly Byzantine) dissemination, queued on the
 //!    transport (line 5),
 //! 5. [`filter`] — per-client realization of the downlink and the
-//!    `Def(·)` filter (lines 12–13).
+//!    `Def(·)` filter, run once per distinct view (lines 12–13).
 //!
 //! The phases never touch fault realization or message accounting — both
 //! live behind the [`Transport`] — and they never share mutable state
@@ -24,9 +24,15 @@
 //! (this round's sampled clients). Training rehydrates one client per
 //! worker at a time; uploads stream into per-server accumulators when the
 //! transport supports it; filtering drains downlinks in fixed-size blocks
-//! through a [`BufferPool`]. At no point does the pipeline hold more than
-//! `O(cohort × dim)` trained vectors plus `O(block × P × dim)` transient
-//! views.
+//! as shared [`Arc`] handles on the transport's queued payloads, runs
+//! `Def(·)` once per distinct view, and materializes each view into
+//! [`BufferPool`] tensors only inside the worker filtering it. At no point
+//! does the pipeline hold more than `O(cohort × dim)` trained vectors plus
+//! `threads × P × dim` materialized views; the handles themselves cost a
+//! pointer each.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 use fedms_aggregation::{AggregationRule, Mean, MeanAccumulator};
 use fedms_attacks::{ClientAttack, ClientAttackContext};
@@ -39,9 +45,9 @@ use crate::store::ClientStore;
 use crate::transport::{Broadcast, DeliveryOutcome, Dissemination, Transport, Upload};
 use crate::{EventLog, Result, RoundDiagnostics, RoundEvent, Server, SimError};
 
-/// Downlink realizations processed per filter block: bounds the pooled
-/// view tensors resident at once to `O(FILTER_BLOCK × P × dim)` without
-/// affecting results (the stitch order is block-independent).
+/// Downlink realizations processed per filter block: bounds the shared
+/// view handles drained ahead of filtering without affecting results (the
+/// stitch order is block-independent).
 const FILTER_BLOCK: usize = 256;
 
 /// Uniformly samples `take` of `ids` without replacement, returning them
@@ -373,7 +379,7 @@ pub(crate) struct FilterCtx<'a> {
     /// Trained vectors aligned with `active` (blackout fallback for active
     /// clients keeps the freshly trained model).
     pub trained: &'a [Tensor],
-    /// Recycles the per-client view tensors across filter blocks.
+    /// Recycles the dense view tensors `Def(·)` reads, across work items.
     pub pool: &'a BufferPool,
     /// The client-side defence `Def(·)`.
     pub filter: &'a dyn AggregationRule,
@@ -390,8 +396,8 @@ pub(crate) struct FilterCtx<'a> {
     pub capture_views: bool,
     /// What to do when a client's view degrades below quorum anyway.
     pub on_degraded: DegradedMode,
-    /// Worker threads for the per-client filter applications (≤ 1 =
-    /// sequential; results are bit-identical across thread counts).
+    /// Worker threads for the filter applications (≤ 1 = sequential;
+    /// results are bit-identical across thread counts).
     pub threads: usize,
     /// The online estimator's current trim level, when the adaptive
     /// defence is running — reported on [`SimError::DegradedQuorum`] so
@@ -404,9 +410,12 @@ pub(crate) struct FilterCtx<'a> {
 
 /// What the filtering phase produces.
 pub(crate) struct FilterOutcome {
-    /// The post-filter model of every cohort client, aligned with the
+    /// The distinct post-filter models, in order of first use by the
     /// cohort.
-    pub models: Vec<Tensor>,
+    pub outputs: Vec<Tensor>,
+    /// `outputs[assignment[i]]` is cohort client `i`'s model. Clients
+    /// sharing an index saw the same view and are bit-identical.
+    pub assignment: Vec<usize>,
     /// The first cohort client's realized (post-fault) server views, if
     /// captured.
     pub first_views: Vec<Tensor>,
@@ -415,19 +424,41 @@ pub(crate) struct FilterOutcome {
     pub suppressed_duplicates: usize,
 }
 
+/// One unit of filter work: a distinct view to run `Def(·)` over, or a
+/// client that keeps `local` and only needs its view for the displacement.
+struct FilterJob {
+    views: Vec<Arc<Tensor>>,
+    local: Option<Tensor>,
+}
+
 /// Phase 5 — client-side filtering: each cohort client drains its own
 /// realization of the downlink, discards fault-injected duplicate
 /// deliveries (first delivery wins, so a duplicating downlink cannot
 /// double a server's weight in the filter) and applies `Def(·)` over what
 /// remains.
 ///
-/// The cohort is processed in blocks of [`FILTER_BLOCK`]: each block
-/// drains its downlinks sequentially (the transport is exclusive state)
-/// into pooled tensors, filters in parallel, then releases the views back
-/// to the pool — so at most `O(block × P × dim)` views are resident at
-/// once regardless of cohort size. Blocking is invisible in the results:
-/// outputs stitch in cohort order and `Filtered` events are buffered until
-/// the whole cohort succeeds.
+/// `Def(·)` runs once per *distinct view*, not once per client. Deliveries
+/// are shared [`Arc`] handles, so a client's view is keyed by the ordered
+/// sequence of its payload pointers: clients with equal keys hold the same
+/// payloads in the same order, and their filter outputs (and `Filtered`
+/// displacements) are bit-identical by construction. The key is ordered,
+/// not sorted — `Mean` and `GeometricMedian` are not bitwise
+/// permutation-invariant. Every key's handles stay alive until the phase
+/// ends, so no payload address can be freed and recycled into a false
+/// match. In a fault-free round without equivocation every client shares
+/// one key; under equivocation every key is distinct and each client is
+/// filtered on its own.
+///
+/// The cohort is drained in blocks of [`FILTER_BLOCK`]: each block drains
+/// its downlinks sequentially (the transport is exclusive state) into
+/// shared handles, then runs the block's *new* keys (and its fallback
+/// clients) in parallel. Each work item copies its `P` views into
+/// [`BufferPool`] tensors — the dense slice `Def(·)` takes — and releases
+/// them when done, so memory is the shared handles plus at most
+/// `threads × P × dim` materialized views, whatever the cohort size.
+/// Memo entries span blocks, and blocking is invisible in the results:
+/// outputs are numbered in cohort order and `Filtered` events are buffered
+/// until the whole cohort succeeds.
 ///
 /// Graceful-degradation guard: trimming `B` per side needs a strict honest
 /// majority among the *distinct* deliveries (duplicates of one server must
@@ -441,25 +472,28 @@ pub(crate) struct FilterOutcome {
 /// engine would.
 pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
     let mut suppressed_duplicates = 0usize;
-    let mut models: Vec<Tensor> = Vec::with_capacity(ctx.cohort.len());
+    let mut outputs: Vec<Tensor> = Vec::new();
+    let mut assignment: Vec<usize> = Vec::with_capacity(ctx.cohort.len());
     let mut first_views: Vec<Tensor> = Vec::new();
     let want_displacement = ctx.event_log.is_some();
+    // Per output, aligned with `outputs`.
     let mut displacements: Vec<f32> = Vec::new();
+    // Ordered payload pointers of a view → its output index. `held` keeps
+    // every keyed payload alive until the round's filtering ends.
+    let mut memo: HashMap<Vec<*const Tensor>, usize> = HashMap::new();
+    let mut held: Vec<Arc<Tensor>> = Vec::new();
     for chunk in ctx.cohort.chunks(FILTER_BLOCK) {
         // Pass 1 (sequential): realize this block's downlinks on the
-        // transport, suppress duplicate deliveries and apply the quorum
-        // guard. Each entry is a client's realized view plus, where the
-        // policy fell back, the local model to keep (`Some` = keep local,
-        // skip the filter).
-        let mut realized: Vec<(Vec<Tensor>, Option<Tensor>)> = Vec::with_capacity(chunk.len());
+        // transport, suppress duplicate deliveries, apply the quorum guard
+        // and look each view up in the memo. Output indices are handed out
+        // in cohort order as work items are queued.
+        let mut jobs: Vec<FilterJob> = Vec::new();
         for &k in chunk {
-            let deliveries = ctx.transport.drain_deliveries_pooled(k, ctx.pool);
-            let mut views = Vec::with_capacity(deliveries.len());
-            for d in deliveries {
+            let mut views = Vec::new();
+            for d in ctx.transport.drain_deliveries(k) {
                 // First delivery wins: repeats never reach the filter.
                 if d.outcome == DeliveryOutcome::Duplicated {
                     suppressed_duplicates += 1;
-                    ctx.pool.release_tensor(d.model);
                 } else {
                     views.push(d.model);
                 }
@@ -479,58 +513,92 @@ pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
                     threat_epoch: ctx.threat_epoch,
                 });
             }
+            if ctx.capture_views && assignment.is_empty() {
+                first_views = views.iter().map(|v| Tensor::clone(v)).collect();
+            }
+            let next = outputs.len() + jobs.len();
             // Total blackout, or a sub-quorum view the policy chose to
             // ride out: the client keeps its locally trained model this
             // round (filtering a Byzantine-dominated sample would be
             // worse).
-            let fallback =
-                (views.is_empty() || degraded).then(|| match ctx.active.binary_search(&k) {
+            let slot = if views.is_empty() || degraded {
+                let local = match ctx.active.binary_search(&k) {
                     Ok(pos) => ctx.trained[pos].clone(),
                     Err(_) => ctx.store.model(k).clone(),
-                });
-            realized.push((views, fallback));
-        }
-        if ctx.capture_views && models.is_empty() {
-            if let Some((views, _)) = realized.first() {
-                first_views = views.clone();
-            }
+                };
+                jobs.push(FilterJob { views, local: Some(local) });
+                next
+            } else {
+                match memo.entry(views.iter().map(Arc::as_ptr).collect()) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        e.insert(next);
+                        held.extend(views.iter().cloned());
+                        jobs.push(FilterJob { views, local: None });
+                        next
+                    }
+                }
+            };
+            assignment.push(slot);
         }
         // Pass 2 (parallel): apply `Def(·)` — the dominant per-round cost
-        // at real model sizes — to each client's realized view
-        // independently, releasing the views to the pool afterwards.
+        // at real model sizes — once per new key, materializing its views
+        // into pooled tensors only for the duration of the work item.
         let filter = ctx.filter;
         let pool = ctx.pool;
-        let filtered = map_in_order(realized, ctx.threads, |(views, fallback)| {
-            let out = match fallback {
-                Some(local) => local,
-                None => filter.aggregate(&views)?,
-            };
-            let displacement = if want_displacement && !views.is_empty() {
-                out.sub(&Mean::new().aggregate(&views)?)?.norm_l2()
+        let done = map_in_order(jobs, ctx.threads, |job| {
+            // Only `Def(·)` and the displacement read dense views.
+            let dense: Vec<Tensor> = if job.local.is_none() || want_displacement {
+                job.views.iter().map(|v| pool.fetch_tensor(v)).collect()
             } else {
-                0.0
+                Vec::new()
             };
-            for v in views {
+            let result = run_filter_job(filter, job.local, &dense, want_displacement);
+            for v in dense {
                 pool.release_tensor(v);
             }
-            Ok::<(Tensor, f32), SimError>((out, displacement))
+            result
         });
         // Stitch sequentially, surfacing the lowest-client-index error.
-        for res in filtered {
+        for res in done {
             let (out, displacement) = res?;
-            models.push(out);
-            if want_displacement {
-                displacements.push(displacement);
-            }
+            outputs.push(out);
+            displacements.push(displacement);
         }
     }
     // Events flush only after every block succeeded, in cohort order.
     if let Some(log) = ctx.event_log.as_deref_mut() {
-        for (&client, &displacement) in ctx.cohort.iter().zip(displacements.iter()) {
-            log.push(RoundEvent::Filtered { round: ctx.round, client, displacement });
+        for (&client, &j) in ctx.cohort.iter().zip(&assignment) {
+            log.push(RoundEvent::Filtered {
+                round: ctx.round,
+                client,
+                displacement: displacements[j],
+            });
         }
     }
-    Ok(FilterOutcome { models, first_views, suppressed_duplicates })
+    Ok(FilterOutcome { outputs, assignment, first_views, suppressed_duplicates })
+}
+
+/// One work item's output and `Filtered` displacement: `local` if the
+/// client fell back, `Def(views)` otherwise; the displacement (0 when not
+/// wanted or the view is empty) is the distance to the plain mean of
+/// `views`.
+fn run_filter_job(
+    filter: &dyn AggregationRule,
+    local: Option<Tensor>,
+    views: &[Tensor],
+    want_displacement: bool,
+) -> Result<(Tensor, f32)> {
+    let out = match local {
+        Some(local) => local,
+        None => filter.aggregate(views)?,
+    };
+    let displacement = if want_displacement && !views.is_empty() {
+        out.sub(&Mean::new().aggregate(views)?)?.norm_l2()
+    } else {
+        0.0
+    };
+    Ok((out, displacement))
 }
 
 /// Context for the diagnostics pass.

@@ -34,7 +34,8 @@
 //! [`RecoveryPolicy::round_deadline_ms`] the exchange stops with a
 //! recorded deadline miss instead of retrying forever.
 
-use fedms_tensor::pool::BufferPool;
+use std::sync::Arc;
+
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
 use rand::Rng;
@@ -42,7 +43,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultClass;
 use crate::threat::NetThreat;
-use crate::transport::{Broadcast, Delivery, DeliveryOutcome, Dissemination, Transport, Upload};
+use crate::transport::{
+    Broadcast, Delivery, DeliveryOutcome, SharedDissemination, Transport, Upload,
+};
 use crate::{CommStats, FaultPlan, Result, SimError};
 
 /// RNG label for backoff jitter ("RTRY").
@@ -263,8 +266,8 @@ impl UploadReport {
 ///   distance from the original target.
 /// * **Downlink** — [`Transport::drain_deliveries`] repairs omission
 ///   losses: any queued broadcast that did not reach this client, unless
-///   its server is partitioned, is retransmitted up to the budget (pooled
-///   drains too), each retransmission a fresh
+///   its server is partitioned, is retransmitted up to the budget, each
+///   retransmission a fresh
 ///   seed-deterministic Bernoulli draw against the plan's omission rate,
 ///   paid for in [`CommStats`] like any other message.
 ///
@@ -279,8 +282,9 @@ pub struct ResilientTransport<T: Transport> {
     num_servers: usize,
     round: usize,
     model_len: usize,
-    /// This round's queued disseminations, mirrored for downlink repair.
-    queued: Vec<(usize, Dissemination)>,
+    /// This round's queued disseminations, mirrored for downlink repair;
+    /// every retransmission of a payload shares its mirror's handle.
+    queued: Vec<(usize, SharedDissemination)>,
     /// The forwarded network threat: a retransmission crosses the same
     /// link as the first copy, so a partitioned server is never repaired.
     net_threat: NetThreat,
@@ -472,11 +476,11 @@ impl<T: Transport> ResilientTransport<T> {
                 // Coverage was validated when the broadcast was mirrored,
                 // so a miss here means an upstream bug; skip the repair
                 // rather than panic.
-                let Ok(model) = self.queued[qi].1.for_client(client) else {
+                let Some(model) = self.queued[qi].1.for_client(client) else {
                     debug_assert!(false, "mirrored dissemination misses client {client}");
                     break;
                 };
-                let model = model.clone();
+                let model = Arc::clone(model);
                 deliveries.push(Delivery { server, model, outcome: DeliveryOutcome::Delivered });
                 break;
             }
@@ -532,7 +536,8 @@ impl<T: Transport> Transport for ResilientTransport<T> {
         // a typed error, never queued where `repair_downlink` would later
         // index past its end.
         message.model.check_coverage(self.num_clients)?;
-        let mirror = (!self.policy.is_disabled()).then(|| (message.server, message.model.clone()));
+        let mirror = (!self.policy.is_disabled())
+            .then(|| (message.server, SharedDissemination::from(message.model.clone())));
         // Mirror only after the inner transport accepted the broadcast, so
         // a rejected message cannot be retransmitted on repair.
         self.inner.broadcast(message)?;
@@ -548,12 +553,6 @@ impl<T: Transport> Transport for ResilientTransport<T> {
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
         let mut deliveries = self.inner.drain_deliveries(client);
-        self.repair_downlink(client, &mut deliveries);
-        deliveries
-    }
-
-    fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
-        let mut deliveries = self.inner.drain_deliveries_pooled(client, pool);
         self.repair_downlink(client, &mut deliveries);
         deliveries
     }
@@ -605,7 +604,7 @@ impl<T: Transport> Transport for ResilientTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalTransport;
+    use crate::transport::{Dissemination, LocalTransport};
     use crate::ServerFault;
 
     fn up(client: usize, server: usize, v: f32) -> Upload {

@@ -137,16 +137,14 @@ pub(crate) struct ModelBank {
     index: HashMap<u64, Vec<u32>>,
 }
 
-/// FNV-1a over the raw `f32` bit patterns.
+/// FNV-1a over the raw `f32` bit patterns, one 32-bit word per step. The
+/// hash only buckets the in-memory index (snapshots store the pool, and
+/// [`ModelBank::from_parts`] recomputes it), so it need not match any
+/// persisted value.
 fn content_hash(t: &Tensor) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in t.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+    t.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
@@ -191,6 +189,13 @@ impl ModelBank {
         self.pool.push(model);
         self.index.entry(h).or_default().push(idx);
         self.refs[k] = idx;
+    }
+
+    /// Points client `k` at client `from`'s entry: the same result as
+    /// [`ModelBank::set`] with a bit-identical copy of `from`'s vector,
+    /// without hashing or comparing it.
+    fn share(&mut self, k: usize, from: usize) {
+        self.refs[k] = self.refs[from];
     }
 
     /// Drops unreferenced pool entries, compacting in stable order.
@@ -345,6 +350,46 @@ impl ClientStore {
             )));
         }
         self.bank.set(k, model);
+        Ok(())
+    }
+
+    /// Commits a round's filter outputs: cohort client `cohort[i]` gets
+    /// `outputs[assignment[i]]`. Each output is installed (and interned)
+    /// once, for the first client using it; the rest of its group point at
+    /// the same entry. Group members are bit-identical, so the pool layout
+    /// and refs are exactly those of installing every client's copy in
+    /// cohort order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadConfig`] for a wrong-length vector, or an
+    /// assignment that names an output before its predecessors (outputs
+    /// must be numbered in order of first use).
+    pub(crate) fn commit_shared(
+        &mut self,
+        cohort: &[usize],
+        outputs: Vec<Tensor>,
+        assignment: &[usize],
+    ) -> Result<()> {
+        let mut outputs = outputs.into_iter();
+        // The first client holding each output.
+        let mut holders: Vec<usize> = Vec::new();
+        for (&k, &j) in cohort.iter().zip(assignment) {
+            if let Some(&from) = holders.get(j) {
+                self.bank.share(k, from);
+                continue;
+            }
+            let model = match outputs.next() {
+                Some(model) if j == holders.len() => model,
+                _ => {
+                    return Err(SimError::BadConfig(format!(
+                        "filter output {j} is used before it is produced"
+                    )))
+                }
+            };
+            self.set_model(k, model)?;
+            holders.push(k);
+        }
         Ok(())
     }
 

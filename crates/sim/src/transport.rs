@@ -13,7 +13,9 @@
 //! * [`LocalTransport`] — the seed-deterministic in-process implementation.
 //!
 //! `LocalTransport` only moves data: per-server inboxes and a queue of
-//! disseminations. Every fault decision — crash silence, straggler
+//! disseminations, each payload wrapped in an [`Arc`] once when it is
+//! queued so every drain hands out shared handles, never per-client
+//! copies. Every fault decision — crash silence, straggler
 //! outboxes, uplink channel loss, downlink omission and duplication — and
 //! all [`CommStats`] accounting belong to the crate's single `LinkFate`
 //! (`link.rs`, DESIGN.md §7), which `crate::net::NetTransport` owns too,
@@ -25,6 +27,8 @@
 //! Determinism: every fate is a pure function of `(seed, round, link)`
 //! drawn in the order the `LinkFate` docs state; a trivial plan draws
 //! nothing and is bit-identical to no plan at all.
+
+use std::sync::Arc;
 
 use fedms_tensor::pool::BufferPool;
 use fedms_tensor::Tensor;
@@ -82,6 +86,43 @@ impl Dissemination {
     }
 }
 
+/// A queued [`Dissemination`] as the carriers hold it: each payload is
+/// wrapped in an [`Arc`] once — one per broadcast, one per client slot of
+/// an equivocating one — so every drain hands out [`Arc::clone`]s. Two
+/// deliveries sharing a pointer are therefore bit-identical by
+/// construction, which is what lets the filter phase run `Def(·)` once per
+/// distinct view.
+#[derive(Debug)]
+pub(crate) enum SharedDissemination {
+    /// One payload shared by every client.
+    Broadcast(Arc<Tensor>),
+    /// Client `k` receives `models[k]`.
+    PerClient(Vec<Arc<Tensor>>),
+}
+
+impl From<Dissemination> for SharedDissemination {
+    fn from(d: Dissemination) -> Self {
+        match d {
+            Dissemination::Broadcast(m) => SharedDissemination::Broadcast(Arc::new(m)),
+            Dissemination::PerClient(ms) => {
+                SharedDissemination::PerClient(ms.into_iter().map(Arc::new).collect())
+            }
+        }
+    }
+}
+
+impl SharedDissemination {
+    /// The handle delivered to `client_id`; `None` for a per-client
+    /// dissemination that does not cover it (coverage is validated when a
+    /// broadcast is queued, so carriers treat a miss as an upstream bug).
+    pub(crate) fn for_client(&self, client_id: usize) -> Option<&Arc<Tensor>> {
+        match self {
+            SharedDissemination::Broadcast(m) => Some(m),
+            SharedDissemination::PerClient(ms) => ms.get(client_id),
+        }
+    }
+}
+
 /// One client→server model upload (Algorithm 1 line 11).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Upload {
@@ -119,12 +160,19 @@ pub enum DeliveryOutcome {
 }
 
 /// One realized server→client delivery on the downlink.
+///
+/// The payload is a shared handle: the built-in carriers wrap each queued
+/// dissemination once and hand every recipient an [`Arc::clone`] of it,
+/// so a fault-free round moves `P` payloads, not `K × P` copies. Pointer
+/// equality implies bit equality; the converse need not hold (a recovery
+/// retransmission carries its own handle).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// The originating server.
     pub server: usize,
-    /// The delivered model.
-    pub model: Tensor,
+    /// The delivered model, shared with every other recipient of the same
+    /// payload.
+    pub model: Arc<Tensor>,
     /// [`DeliveryOutcome::Delivered`] for a first copy,
     /// [`DeliveryOutcome::Duplicated`] for a fault-injected repeat.
     /// Duplicates never count toward the filter quorum and are suppressed
@@ -226,10 +274,14 @@ pub trait Transport: Send {
     /// its own realization of a lossy downlink.
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery>;
 
-    /// [`Transport::drain_deliveries`], materializing the delivered
-    /// tensors through `pool` so their storage can be recycled after
-    /// filtering. Value-transparent: the deliveries are bit-identical to
-    /// the unpooled drain. The default ignores the pool.
+    /// [`Transport::drain_deliveries`] with a buffer pool for carriers
+    /// that materialize payloads. Value-transparent: the deliveries are
+    /// bit-identical to the unpooled drain. Deliveries are shared
+    /// [`Arc`] handles, so no built-in carrier uses the pool and the
+    /// engine calls [`Transport::drain_deliveries`]; the method stays
+    /// because out-of-tree delegating transports (the round benchmark's
+    /// tracer among them) forward it, and goes with the next shrink of
+    /// this trait. The default ignores the pool.
     fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
         let _ = pool;
         self.drain_deliveries(client)
@@ -299,7 +351,9 @@ pub trait Transport: Send {
 pub struct LocalTransport {
     fate: LinkFate,
     inboxes: Vec<Vec<Tensor>>,
-    queued: Vec<Broadcast>,
+    /// This round's disseminations, `(server, payloads)` in broadcast
+    /// order.
+    queued: Vec<(usize, SharedDissemination)>,
 }
 
 impl std::fmt::Debug for LocalTransport {
@@ -321,28 +375,6 @@ impl LocalTransport {
             inboxes: vec![Vec::new(); num_servers],
             queued: Vec::new(),
         }
-    }
-
-    /// Copies out `client`'s realized downlink; `materialize` turns a
-    /// queued model into its delivered form (a plain clone, or a pooled
-    /// copy whose storage the filter phase recycles).
-    fn drain_with<F: FnMut(&Tensor) -> Tensor>(
-        &mut self,
-        client: usize,
-        mut materialize: F,
-    ) -> Vec<Delivery> {
-        let mut out = Vec::with_capacity(self.queued.len());
-        for b in &self.queued {
-            // Coverage is validated when the broadcast is queued, so a miss
-            // here means an upstream bug; skip rather than panic.
-            let Ok(model) = b.model.for_client(client) else {
-                debug_assert!(false, "queued dissemination misses client {client}");
-                continue;
-            };
-            let copies = self.fate.downlink(b.server, client);
-            push_copies(&mut out, b.server, copies, || materialize(model));
-        }
-        out
     }
 }
 
@@ -377,7 +409,7 @@ impl Transport for LocalTransport {
 
     fn broadcast(&mut self, message: Broadcast) -> Result<()> {
         self.fate.admit_broadcast(&message)?;
-        self.queued.push(message);
+        self.queued.push((message.server, message.model.into()));
         Ok(())
     }
 
@@ -386,11 +418,17 @@ impl Transport for LocalTransport {
     }
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
-        self.drain_with(client, Tensor::clone)
-    }
-
-    fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
-        self.drain_with(client, |m| pool.fetch_tensor(m))
+        let mut out = Vec::with_capacity(self.queued.len());
+        for (server, diss) in &self.queued {
+            // Coverage is validated when the broadcast is queued, so a miss
+            // here means an upstream bug; skip rather than panic.
+            let Some(model) = diss.for_client(client) else {
+                debug_assert!(false, "queued dissemination misses client {client}");
+                continue;
+            };
+            push_copies(&mut out, *server, self.fate.downlink(*server, client), model);
+        }
+        out
     }
 
     delegate_to_fate!();

@@ -114,9 +114,17 @@ fn million_client_round_fits_the_memory_budget() {
         "bank grew to {} entries",
         e.distinct_client_models()
     );
-    // The downlink pool recycled its buffers and leaked nothing.
+    // The fault-free round has one distinct view, filtered once: the
+    // filter pool held at most one `P`-model view per worker at a time and
+    // leaked nothing.
     let stats = e.pool_stats();
-    assert!(stats.reused > 0, "pool never reused a buffer");
+    let view_bytes = 10 * 4 * e.initial_model().len() as u64;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    assert!(
+        stats.high_water_bytes > 0 && stats.high_water_bytes <= workers * view_bytes,
+        "filter views peaked at {} bytes; one view is {view_bytes}",
+        stats.high_water_bytes
+    );
     assert_eq!(stats.outstanding_bytes, 0, "filter leaked pooled buffers");
     if let Some(rss) = peak_rss_bytes() {
         assert!(

@@ -1,13 +1,13 @@
 //! A reusable buffer pool for transient parameter vectors.
 //!
-//! Large-cohort rounds materialize many short-lived tensors of the same
-//! length (the `P` global-model views each client filters, scratch copies
-//! on the transport drain path). Allocating and freeing those through the
-//! global allocator every round is both slow and fragmenting; a
-//! [`BufferPool`] instead recycles the backing `Vec<f32>` storage across
-//! uses and keeps high-water statistics so the memory footprint of a round
-//! is observable ([`PoolStats::high_water_bytes`] is stamped into bench
-//! reports and asserted by the scale tests).
+//! Rounds materialize many short-lived tensors of the same length (the
+//! `P` global-model views each distinct filter input is copied into while
+//! `Def(·)` runs). Allocating and freeing those through the global
+//! allocator every round is both slow and fragmenting; a [`BufferPool`]
+//! instead recycles the backing `Vec<f32>` storage across uses and keeps
+//! high-water statistics so the memory footprint of a round is observable
+//! ([`PoolStats::high_water_bytes`] is stamped into bench reports and
+//! asserted by the scale tests).
 //!
 //! The pool is a free list behind a [`Mutex`]: `fetch` hands out a
 //! recycled buffer (or allocates a fresh one), `release` returns it. It is
