@@ -17,6 +17,12 @@ use crate::Result;
 /// 3. [`Layer::zero_grads`] resets the accumulated gradients between
 ///    mini-batches.
 ///
+/// [`Layer::backward_params`] is step 2 without the returned input
+/// gradient, for the first layer of a network, whose input gradient
+/// nobody reads. It must accumulate exactly the parameter gradients
+/// [`Layer::backward`] would, bit for bit, and fail exactly when
+/// `backward` would.
+///
 /// Parameters and their gradients are exposed positionally; position `i` of
 /// [`Layer::params`] corresponds to position `i` of [`Layer::grads`] and of
 /// [`Layer::params_mut`]. Layers without parameters return empty vectors.
@@ -44,6 +50,20 @@ pub trait Layer: Send {
     /// [`Layer::forward`], or a tensor error if `grad_out` has the wrong
     /// shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+
+    /// [`Layer::backward`] for parameter gradients only: accumulates the
+    /// same parameter gradients, bit for bit, but need not form the
+    /// gradient w.r.t. the input. The default runs `backward` and drops
+    /// its result; layers whose input gradient costs real work (a GEMM,
+    /// a `col2im`) override it, and containers forward it to their first
+    /// child after a full backward through the rest.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
 
     /// The layer's trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;

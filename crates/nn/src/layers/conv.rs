@@ -103,6 +103,72 @@ impl Conv2d {
     pub fn scratch_stats(&self) -> PoolStats {
         self.scratch.stats()
     }
+
+    /// Checks `grad_out` against the cached forward; returns the batch.
+    fn check_grad_out(&self, grad_out: &Tensor) -> Result<usize> {
+        if self.cached_cols.is_empty() {
+            return Err(NnError::NoForwardCache("conv2d"));
+        }
+        let g = self.geom;
+        let mismatch = || {
+            NnError::Tensor(TensorError::ShapeMismatch {
+                left: grad_out.dims().to_vec(),
+                right: vec![self.cached_cols.len(), self.out_channels, g.out_h, g.out_w],
+            })
+        };
+        let batch = check_input_4d(grad_out, self.out_channels, g.out_h, g.out_w)
+            .map_err(|_| mismatch())?;
+        if batch != self.cached_cols.len() {
+            return Err(mismatch());
+        }
+        Ok(batch)
+    }
+
+    /// Accumulates dW and db for a checked `grad_out` and, when `grad_in`
+    /// is given, scatters the input gradient into it (`dCols = Wᵀ ·
+    /// gradOut`, then `col2im`).
+    fn accumulate_grads(&mut self, grad_out: &Tensor, mut grad_in: Option<&mut [f32]>) {
+        let g = self.geom;
+        let out_plane = g.out_h * g.out_w;
+        let vol = g.input_volume();
+        for s in 0..self.cached_cols.len() {
+            let go = &grad_out.as_slice()
+                [s * self.out_channels * out_plane..(s + 1) * self.out_channels * out_plane];
+            let cols = self.cached_cols[s].as_slice();
+            // dW += gradOut · colsᵀ
+            let mut dw = self.scratch.fetch_zeroed(self.out_channels * g.col_rows());
+            self.backend.matmul_transb(
+                go,
+                cols,
+                &mut dw,
+                self.out_channels,
+                out_plane,
+                g.col_rows(),
+            );
+            for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
+                *gw += v;
+            }
+            self.scratch.release(dw);
+            // db += row sums
+            for oc in 0..self.out_channels {
+                self.grad_bias.as_mut_slice()[oc] +=
+                    go[oc * out_plane..(oc + 1) * out_plane].iter().sum::<f32>();
+            }
+            let Some(grad_in) = grad_in.as_deref_mut() else { continue };
+            // dCols = Wᵀ · gradOut, then scatter back to image space.
+            let mut dcols = self.scratch.fetch_zeroed(g.col_rows() * out_plane);
+            self.backend.matmul_transa(
+                self.weight.as_slice(),
+                go,
+                &mut dcols,
+                g.col_rows(),
+                self.out_channels,
+                out_plane,
+            );
+            self.backend.col2im(&dcols, &g, &mut grad_in[s * vol..(s + 1) * vol]);
+            self.scratch.release(dcols);
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -152,63 +218,17 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if self.cached_cols.is_empty() {
-            return Err(NnError::NoForwardCache("conv2d"));
-        }
+        let batch = self.check_grad_out(grad_out)?;
         let g = self.geom;
-        let batch =
-            check_input_4d(grad_out, self.out_channels, g.out_h, g.out_w).map_err(|_| {
-                NnError::Tensor(TensorError::ShapeMismatch {
-                    left: grad_out.dims().to_vec(),
-                    right: vec![self.cached_cols.len(), self.out_channels, g.out_h, g.out_w],
-                })
-            })?;
-        if batch != self.cached_cols.len() {
-            return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                left: grad_out.dims().to_vec(),
-                right: vec![self.cached_cols.len(), self.out_channels, g.out_h, g.out_w],
-            }));
-        }
-        let out_plane = g.out_h * g.out_w;
-        let vol = g.input_volume();
         let mut grad_in = Tensor::zeros(&[batch, g.in_channels, g.in_h, g.in_w]);
-        for s in 0..batch {
-            let go = &grad_out.as_slice()
-                [s * self.out_channels * out_plane..(s + 1) * self.out_channels * out_plane];
-            let cols = self.cached_cols[s].as_slice();
-            // dW += gradOut · colsᵀ
-            let mut dw = self.scratch.fetch_zeroed(self.out_channels * g.col_rows());
-            self.backend.matmul_transb(
-                go,
-                cols,
-                &mut dw,
-                self.out_channels,
-                out_plane,
-                g.col_rows(),
-            );
-            for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
-                *gw += v;
-            }
-            self.scratch.release(dw);
-            // db += row sums
-            for oc in 0..self.out_channels {
-                self.grad_bias.as_mut_slice()[oc] +=
-                    go[oc * out_plane..(oc + 1) * out_plane].iter().sum::<f32>();
-            }
-            // dCols = Wᵀ · gradOut, then scatter back to image space.
-            let mut dcols = self.scratch.fetch_zeroed(g.col_rows() * out_plane);
-            self.backend.matmul_transa(
-                self.weight.as_slice(),
-                go,
-                &mut dcols,
-                g.col_rows(),
-                self.out_channels,
-                out_plane,
-            );
-            self.backend.col2im(&dcols, &g, &mut grad_in.as_mut_slice()[s * vol..(s + 1) * vol]);
-            self.scratch.release(dcols);
-        }
+        self.accumulate_grads(grad_out, Some(grad_in.as_mut_slice()));
         Ok(grad_in)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.check_grad_out(grad_out)?;
+        self.accumulate_grads(grad_out, None);
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -80,6 +80,17 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Err(NnError::BadConfig("backward through empty sequential".into()));
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_out))
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }

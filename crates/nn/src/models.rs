@@ -78,6 +78,10 @@ impl Layer for Mlp {
         self.seq.backward(grad_out)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.seq.backward_params(grad_out)
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         self.seq.params()
     }
@@ -300,6 +304,10 @@ impl Layer for MobileNetNano {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.seq.backward(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.seq.backward_params(grad_out)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -83,7 +83,9 @@ pub trait NeuralNet: Layer {
     }
 
     /// One mini-batch SGD step: zero grads → forward → softmax-CE →
-    /// backward → optimiser update. Returns the batch loss.
+    /// backward → optimiser update. Returns the batch loss. The backward
+    /// is [`Layer::backward_params`]: nothing reads the gradient w.r.t.
+    /// the batch itself, so the first layer skips forming it.
     ///
     /// # Errors
     ///
@@ -93,7 +95,7 @@ pub trait NeuralNet: Layer {
         self.zero_grads();
         let logits = self.forward(x)?;
         let loss = softmax_cross_entropy(&logits, labels)?;
-        self.backward(&loss.grad_logits)?;
+        self.backward_params(&loss.grad_logits)?;
         opt.step(self)?;
         Ok(loss.loss)
     }

@@ -24,6 +24,15 @@ use crate::{Result, SimError};
 /// plus its last parameter vector continues training bit-identically.
 /// Any new per-client mutable state added here must move into the
 /// engine's client store to keep that true.
+///
+/// The same holds inside the model: every [`crate::ModelSpec`] model
+/// keeps no state outside its parameter vector (no running statistics,
+/// no step counters), so scoring a freshly trained client's own model
+/// equals scoring a fresh model loaded with its vector. The engine's
+/// local evaluation relies on this — each training worker scores its
+/// client where it trained it — so a model kind with hidden state must
+/// not be added to `ModelSpec` without moving evaluation back onto a
+/// rebuilt model.
 pub struct Client {
     id: usize,
     model: Box<dyn Layer>,

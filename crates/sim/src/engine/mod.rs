@@ -556,23 +556,30 @@ impl SimulationEngine {
         };
 
         // 1. Local training (Algorithm 1 lines 8–10) — active clients only,
-        // rehydrated one-at-a-time per worker from the store.
-        let (mut trained, mean_train_loss) = phases::local_train(phases::TrainCtx {
-            store: &self.store,
-            active: &active,
-            round: self.round,
-            local_epochs: self.config.local_epochs,
-            threads: worker_threads,
-            event_log: self.event_log.as_mut(),
-        })?;
-
-        // Accuracy of the freshly trained *local* models (the paper's
-        // metric), measured before aggregation touches them.
-        let local_accuracy = if evaluate && self.config.eval_after_local {
-            Some(self.mean_accuracy_over(Some((&active, &trained)))?)
-        } else {
-            None
-        };
+        // rehydrated one-at-a-time per worker from the store. When the
+        // round's metric is the accuracy of the freshly trained *local*
+        // models (the paper's metric), each worker also scores its
+        // evaluated clients before aggregation touches them; evaluated
+        // clients that did not train this round are scored from the bank
+        // before the commit.
+        let local_eval = evaluate && self.config.eval_after_local;
+        let evaluated = if local_eval { self.evaluated_clients()? } else { Vec::new() };
+        let phases::Trained { vectors: mut trained, mean_loss: mean_train_loss, scored } =
+            phases::local_train(phases::TrainCtx {
+                store: &self.store,
+                active: &active,
+                round: self.round,
+                local_epochs: self.config.local_epochs,
+                threads: worker_threads,
+                eval: local_eval.then_some(phases::EvalSet {
+                    samples: &self.test_samples,
+                    labels: &self.test_labels,
+                    clients: &evaluated,
+                }),
+                event_log: self.event_log.as_mut(),
+            })?;
+        let local_accuracy =
+            if local_eval { Some(self.mean_accuracy_over(&scored)?) } else { None };
 
         // 2. Sparse upload (line 11) over the transport. The assignment is
         // drawn over the cohort (positions align with cohort order), so a
@@ -723,7 +730,7 @@ impl SimulationEngine {
         if evaluate {
             let mean_accuracy = match local_accuracy {
                 Some(acc) => acc,
-                None => self.mean_accuracy_over(None)?,
+                None => self.mean_accuracy_over(&[])?,
             };
             self.result.rounds.push(RoundMetrics {
                 round: self.round - 1,
@@ -745,13 +752,12 @@ impl SimulationEngine {
     /// Propagates evaluation errors; returns [`SimError::BadConfig`] if
     /// every client is Byzantine.
     pub fn evaluate_mean_accuracy(&self) -> Result<f32> {
-        self.mean_accuracy_over(None)
+        self.mean_accuracy_over(&[])
     }
 
-    /// Accuracy over the banked models, with `overrides` substituting the
-    /// freshly trained vectors for this round's active clients (both
-    /// slices sorted by client id, aligned with each other).
-    fn mean_accuracy_over(&self, overrides: Option<(&[usize], &[Tensor])>) -> Result<f32> {
+    /// The clients the accuracy metric averages: the first `eval_clients`
+    /// benign clients (all of them for 0), in ascending id order.
+    fn evaluated_clients(&self) -> Result<Vec<usize>> {
         let mut indices: Vec<usize> =
             (0..self.store.num_clients()).filter(|&i| self.client_attacks[i].is_none()).collect();
         if indices.is_empty() {
@@ -760,26 +766,35 @@ impl SimulationEngine {
         if self.config.eval_clients != 0 {
             indices.truncate(self.config.eval_clients);
         }
+        Ok(indices)
+    }
+
+    /// Mean accuracy over the [evaluated clients](Self::evaluated_clients),
+    /// taking each client's score from `scored` — `(client, accuracy)`
+    /// pairs the training workers measured this round, ascending by
+    /// client — and evaluating only the rest from the bank: a fresh model
+    /// per client, loaded with its banked vector. The mean sums in
+    /// ascending client order whatever the split, so it does not depend on
+    /// which clients trained.
+    fn mean_accuracy_over(&self, scored: &[(usize, f32)]) -> Result<f32> {
+        let is_scored = |k: &usize| scored.binary_search_by_key(k, |&(c, _)| c).is_ok();
+        let mut unscored = self.evaluated_clients()?;
+        unscored.retain(|k| !is_scored(k));
         let store = &self.store;
         let samples = &self.test_samples;
         let labels = &self.test_labels;
-        let results = phases::map_in_order(indices, self.worker_threads(), |k| {
-            let vector = match overrides {
-                Some((active, trained)) => match active.binary_search(&k) {
-                    Ok(pos) => &trained[pos],
-                    Err(_) => store.model(k),
-                },
-                None => store.model(k),
-            };
+        let results = phases::map_in_order(unscored, self.worker_threads(), |k| {
             let mut model = store.build_model()?;
-            model.set_param_vector(vector)?;
-            Ok::<f32, SimError>(model.evaluate(samples, labels)?)
+            model.set_param_vector(store.model(k))?;
+            Ok::<(usize, f32), SimError>((k, model.evaluate(samples, labels)?))
         });
-        let mut accs = Vec::with_capacity(results.len());
+        let mut accs = scored.to_vec();
         for res in results {
             accs.push(res?);
         }
-        Ok((accs.iter().map(|&a| a as f64).sum::<f64>() / accs.len() as f64) as f32)
+        accs.sort_unstable_by_key(|&(k, _)| k);
+        let sum: f64 = accs.iter().map(|&(_, a)| a as f64).sum();
+        Ok((sum / accs.len() as f64) as f32)
     }
 
     /// Resolves the effective worker-thread count for the client-parallel

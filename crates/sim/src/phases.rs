@@ -5,6 +5,8 @@
 //! Algorithm 1 against a narrow context struct:
 //!
 //! 1. [`local_train`] — local SGD on the active clients (lines 8–10),
+//!    scoring each evaluated client on the test split where it trained
+//!    when the round measures local accuracy,
 //! 2. [`upload`] — client-attack tampering + sparse upload over the
 //!    [`Transport`] (line 11),
 //! 3. [`aggregate`] — per-server aggregation of whatever arrived, passed
@@ -80,37 +82,81 @@ pub(crate) struct TrainCtx<'a> {
     /// Worker threads for client-parallel training (≤ 1 = sequential;
     /// results are bit-identical across thread counts).
     pub threads: usize,
+    /// The test split and the evaluated clients, when this round scores
+    /// the freshly trained local models (the paper's metric).
+    pub eval: Option<EvalSet<'a>>,
     /// Structured event sink, if enabled.
     pub event_log: Option<&'a mut EventLog>,
+}
+
+/// The test split plus the clients whose accuracy the round's metric
+/// averages.
+pub(crate) struct EvalSet<'a> {
+    /// Test samples, in the model's input layout.
+    pub samples: &'a Tensor,
+    /// Test labels, aligned with `samples`.
+    pub labels: &'a [usize],
+    /// Evaluated client ids (strictly increasing).
+    pub clients: &'a [usize],
+}
+
+/// What [`local_train`] hands back to the round.
+pub(crate) struct Trained {
+    /// Trained parameter vectors, aligned with the active clients.
+    pub vectors: Vec<Tensor>,
+    /// Mean training loss over the active clients.
+    pub mean_loss: f64,
+    /// `(client, test accuracy)` for each active client in the evaluated
+    /// set, in ascending client order (empty without an [`EvalSet`]).
+    pub scored: Vec<(usize, f32)>,
 }
 
 /// Phase 1 — local training on the active clients. Each worker hydrates
 /// one client at a time, trains it, and keeps only the trained parameter
 /// vector (the [`crate::Client`] is dropped before the next item), so peak
-/// memory is `O(threads × client)` + `O(active × dim)` outputs. Returns
-/// the trained vectors (aligned with `active`) and the mean training loss.
-pub(crate) fn local_train(mut ctx: TrainCtx<'_>) -> Result<(Vec<Tensor>, f64)> {
+/// memory is `O(threads × client)` + `O(active × dim)` outputs.
+///
+/// With an [`EvalSet`], the worker also scores each evaluated client on
+/// the test split right after [`crate::Client::local_train`] — before
+/// upload tampering, on the very model it trained. That equals scoring a
+/// fresh model loaded with the trained vector, because a model's
+/// parameter vector is its whole state (the rehydration contract on
+/// [`crate::Client`]), and it spares a model build, a parameter load and
+/// a second fork/join per evaluated client.
+pub(crate) fn local_train(mut ctx: TrainCtx<'_>) -> Result<Trained> {
     let global_step = ctx.round * ctx.local_epochs;
     let epochs = ctx.local_epochs;
     let store = ctx.store;
+    let eval = ctx.eval.as_ref();
     let results = map_in_order(ctx.active.to_vec(), ctx.threads, |k| {
         let mut client = store.hydrate(k)?;
         let loss = client.local_train(epochs, global_step)?;
-        Ok::<(Tensor, f32), SimError>((client.model_vector(), loss))
+        let acc = match eval {
+            Some(set) if set.clients.binary_search(&k).is_ok() => {
+                Some(client.evaluate(set.samples, set.labels)?)
+            }
+            _ => None,
+        };
+        Ok::<(Tensor, f32, Option<f32>), SimError>((client.model_vector(), loss, acc))
     });
-    let mut trained = Vec::with_capacity(ctx.active.len());
+    let mut vectors = Vec::with_capacity(ctx.active.len());
     let mut losses = Vec::with_capacity(ctx.active.len());
-    for res in results {
-        let (vector, loss) = res?;
-        trained.push(vector);
+    let mut scored = Vec::new();
+    for (&k, res) in ctx.active.iter().zip(results) {
+        let (vector, loss, acc) = res?;
+        vectors.push(vector);
         losses.push(loss);
+        if let Some(acc) = acc {
+            scored.push((k, acc));
+        }
     }
     if let Some(log) = ctx.event_log.as_deref_mut() {
         for (&client, &loss) in ctx.active.iter().zip(losses.iter()) {
             log.push(RoundEvent::LocalTrainingCompleted { round: ctx.round, client, loss });
         }
     }
-    Ok((trained, losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64))
+    let mean_loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
+    Ok(Trained { vectors, mean_loss, scored })
 }
 
 /// Context for the upload phase.

@@ -7,10 +7,11 @@
 //!
 //! * [`ScalarBackend`] — the original hand-rolled kernels, with the same
 //!   per-element operation order; `matmul_transb` runs k-major over a
-//!   packed bᵀ so it vectorizes (its old dot-product loop is kept in
-//!   [`reference`] as the oracle). This is the **deterministic CI
-//!   oracle**: every run on it is bit-identical to the code that predates
-//!   the backend abstraction, and it stays the default everywhere.
+//!   packed bᵀ in 2×16 register tiles so it vectorizes (its old
+//!   dot-product loop is kept in [`reference`] as the oracle). This is
+//!   the **deterministic CI oracle**: every run on it is bit-identical to
+//!   the code that predates the backend abstraction, and it stays the
+//!   default everywhere.
 //! * `BlockedBackend` (behind the `backend-blocked` feature) — cache
 //!   blocked, autovectorization-friendly kernels with optional intra-op
 //!   threading. It reassociates floating-point reductions, so results are

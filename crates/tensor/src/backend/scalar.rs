@@ -7,8 +7,13 @@
 //! through this backend is bit-identical to the pre-refactor engine — the
 //! property the checked-in run digests in `tests/backend_parity.rs` pin.
 //! Most loop bodies are unchanged; `matmul_transb` runs k-major over a
-//! packed bᵀ so it vectorizes, and is pinned bit for bit to the retained
-//! dot-product loop in [`super::reference`].
+//! packed bᵀ so it vectorizes, computes full 2×16 output tiles in a local
+//! accumulator array (8 of SSE2's 16 vector registers, with room for the
+//! four bᵀ vectors; a 3×16 tile spills) so each bᵀ row segment is loaded
+//! once per two output rows, and is pinned bit for bit to the
+//! retained dot-product loop in [`super::reference`]. `matmul` and
+//! `matmul_transa` keep their row loops: their zero-skip branch and
+//! strided operand made the same tile slower.
 
 use crate::conv::Conv2dGeometry;
 
@@ -42,8 +47,10 @@ impl Backend for ScalarBackend {
     fn matmul_transb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         // Pack bᵀ (k×n) so the k loop can run outermost: each output element
         // still sees `+0.0`, then `acc += a[i,kk] · b[j,kk]` for kk ascending
-        // — the dot-product chain of `reference::matmul_transb` — but the n
-        // chains of a row advance side by side and vectorize. No zero-skip:
+        // — the dot-product chain of `reference::matmul_transb` — but many
+        // chains advance side by side and vectorize. Full MR×NR output tiles
+        // keep their chains in a local accumulator array across the whole k
+        // loop; edge rows and columns run the one-row loop. No zero-skip:
         // the dot form has none, and skipping `0 · inf` would drop a NaN.
         let mut bt = vec![0.0f32; k * n];
         for j in 0..n {
@@ -51,15 +58,38 @@ impl Backend for ScalarBackend {
                 bt[kk * n + j] = v;
             }
         }
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            orow.fill(0.0);
-            for (kk, &aik) in arow.iter().enumerate() {
-                for (o, &y) in orow.iter_mut().zip(bt[kk * n..(kk + 1) * n].iter()) {
-                    *o += aik * y;
+        let tiled_cols = n - n % NR;
+        let tiled_rows = if tiled_cols == 0 { 0 } else { m - m % MR };
+        for i in (0..tiled_rows).step_by(MR) {
+            let arows = &a[i * k..(i + MR) * k];
+            for j in (0..tiled_cols).step_by(NR) {
+                let mut acc = [[0.0f32; NR]; MR];
+                for kk in 0..k {
+                    let brow = &bt[kk * n + j..kk * n + j + NR];
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        let aik = arows[r * k + kk];
+                        for (o, &y) in acc_row.iter_mut().zip(brow.iter()) {
+                            *o += aik * y;
+                        }
+                    }
+                }
+                for (r, acc_row) in acc.iter().enumerate() {
+                    out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
                 }
             }
+            if tiled_cols < n {
+                for r in i..i + MR {
+                    transb_row(
+                        &a[r * k..(r + 1) * k],
+                        &bt,
+                        &mut out[r * n..(r + 1) * n],
+                        tiled_cols,
+                    );
+                }
+            }
+        }
+        for r in tiled_rows..m {
+            transb_row(&a[r * k..(r + 1) * k], &bt, &mut out[r * n..(r + 1) * n], 0);
         }
     }
 
@@ -161,6 +191,25 @@ impl Backend for ScalarBackend {
                     *p -= lr * eff;
                 }
             }
+        }
+    }
+}
+
+/// Output rows per register tile of the scalar `matmul_transb`.
+const MR: usize = 2;
+/// Output columns per register tile of the scalar `matmul_transb`.
+const NR: usize = 16;
+
+/// One output row of `matmul_transb` from column `from` on, over the
+/// packed `bt` (k×n): the columns advance side by side through the k loop,
+/// each keeping its own `+0.0`-seeded chain.
+fn transb_row(arow: &[f32], bt: &[f32], orow: &mut [f32], from: usize) {
+    let n = orow.len();
+    let orow = &mut orow[from..];
+    orow.fill(0.0);
+    for (kk, &aik) in arow.iter().enumerate() {
+        for (o, &y) in orow.iter_mut().zip(bt[kk * n + from..(kk + 1) * n].iter()) {
+            *o += aik * y;
         }
     }
 }

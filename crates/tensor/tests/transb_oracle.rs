@@ -1,11 +1,14 @@
 //! Pins the scalar backend's `matmul_transb` to the retained dot-product
 //! loop (`backend::reference::matmul_transb`) bit for bit.
 //!
-//! The rewritten kernel runs k-major over a packed bᵀ so it vectorizes; it
-//! must keep every output element's exact operation sequence (`+0.0` seed,
-//! ascending k, separate multiply then add). Shapes cover empty dimensions
-//! and widths that are not a multiple of any vector lane count; data mixes
-//! signed zeros, subnormals, infinities, NaN and overflow-sized values.
+//! The rewritten kernel runs k-major over a packed bᵀ so it vectorizes, and
+//! computes full 2×16 output tiles in a local accumulator array; it must
+//! keep every output element's exact operation sequence (`+0.0` seed,
+//! ascending k, separate multiply then add). Shapes cover empty dimensions,
+//! widths that are not a multiple of any vector lane count, and at least
+//! two full tiles plus a remainder in each direction (m up to 7, n up to
+//! 39); data mixes signed zeros, subnormals, infinities, NaN and
+//! overflow-sized values.
 //! NaN outputs are compared by position, since IEEE leaves a computed
 //! NaN's sign and payload unspecified.
 
@@ -59,7 +62,7 @@ fn assert_bit_identical(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) {
 }
 
 fn shaped() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
-    (0usize..7, 0usize..300, 0usize..40, 0u32..3).prop_flat_map(|(m, k, n, density)| {
+    (0usize..8, 0usize..300, 0usize..40, 0u32..3).prop_flat_map(|(m, k, n, density)| {
         let codes = 22 * 10u16.pow(density);
         (Just(m), Just(k), Just(n), data(m * k, codes), data(n * k, codes))
     })
@@ -75,9 +78,13 @@ proptest! {
 
 #[test]
 fn paper_shapes_equal_reference_bitwise() {
-    // The evaluation forward (200×192 · 64×192ᵀ), the training forward
-    // (32×192 · 64×192ᵀ) and the nano conv's weight gradient (8×64 · 27×64ᵀ).
-    for (m, k, n) in [(200, 192, 64), (32, 192, 64), (32, 64, 10), (8, 64, 27)] {
+    // The evaluation forwards (200×192 · 64×192ᵀ, 200×64 · 10×64ᵀ), the
+    // training forwards (32×192 · 64×192ᵀ, 32×64 · 10×64ᵀ), the nano conv's
+    // weight gradient (8×64 · 27×64ᵀ), and two full 2×16 tiles plus a
+    // remainder row and column (5×50 · 33×50ᵀ).
+    let shapes =
+        [(200, 192, 64), (200, 64, 10), (32, 192, 64), (32, 64, 10), (8, 64, 27), (5, 50, 33)];
+    for (m, k, n) in shapes {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013).collect();
         let b: Vec<f32> = (0..n * k).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021).collect();
         assert_bit_identical(m, k, n, &a, &b);

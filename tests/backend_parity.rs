@@ -76,6 +76,80 @@ fn scalar_backend_conv_run_is_byte_identical_to_pre_refactor() {
     );
 }
 
+/// The Table II federation (192-64-10 MLP, K = 50, P = 10, B = 2 random)
+/// cut to three rounds. Its 64-wide hidden layer fills whole register
+/// tiles of the scalar `matmul_transb`, which the 16-8-4 `mlp_cfg()`
+/// never reaches.
+fn paper_cfg() -> FedMsConfig {
+    let mut cfg = FedMsConfig::paper_defaults(5).expect("Table II defaults");
+    cfg.byzantine_count = 2;
+    cfg.attack = fedms::AttackKind::Random { lo: -10.0, hi: 10.0 };
+    cfg.rounds = 3;
+    cfg
+}
+
+/// Runs `cfg` at one and at four worker threads and checks both against
+/// `want`, a digest recorded on the engine before the register-tiled
+/// `matmul_transb`, the parameter-only input-layer backward and
+/// in-worker local evaluation.
+fn assert_pinned(cfg: FedMsConfig, want: u64) {
+    for threads in [1, 4] {
+        let mut cfg = cfg.clone();
+        cfg.threads = threads;
+        assert_eq!(run_digest(&cfg), want, "paper-shape run at {threads} threads drifted");
+    }
+}
+
+// Each variant reaches a different split between clients scored in the
+// training worker and clients scored from the model bank.
+
+#[test]
+fn scalar_paper_run_is_pinned() {
+    assert_pinned(paper_cfg(), 2662055324864312957);
+}
+
+#[test]
+fn scalar_paper_run_with_partial_participation_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.participation = 0.5;
+    assert_pinned(cfg, 17937274482929980022);
+}
+
+#[test]
+fn scalar_paper_run_with_cohort_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.cohort = 20;
+    assert_pinned(cfg, 5949373850137305160);
+}
+
+#[test]
+fn scalar_paper_run_with_eval_clients_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.eval_clients = 10;
+    assert_pinned(cfg, 14394701002492551081);
+}
+
+#[test]
+fn scalar_paper_run_with_byzantine_clients_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.byzantine_clients = 2;
+    assert_pinned(cfg, 11213814088305680755);
+}
+
+#[test]
+fn scalar_paper_run_with_sparse_evaluation_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.eval_every = 2;
+    assert_pinned(cfg, 7278204534709100162);
+}
+
+#[test]
+fn scalar_paper_run_scoring_filtered_models_is_pinned() {
+    let mut cfg = paper_cfg();
+    cfg.eval_after_local = false;
+    assert_pinned(cfg, 12164203726352988639);
+}
+
 /// Full-engine statistical parity: the blocked backend must track the
 /// scalar accuracy/loss trajectory on the same federation. Its kernels
 /// reassociate f32 reductions, so runs are not bit-identical — but over a
