@@ -10,7 +10,7 @@
 //! * `fig4` — Figure 4's per-client label histograms;
 //! * `theory` — Theorem 1 on convex quadratics;
 //! * `lemma2` — Lemma 2's trimmed-mean error bound;
-//! * `filterbench` / `nnbench` — the filter and compute-backend kernel
+//! * `filterbench` / `nnbench` — the filter and compute-kernel
 //!   microbenches behind `BENCH_filter.json` / `BENCH_nn.json` and their CI
 //!   gates, built on [`perf`].
 //!

@@ -137,11 +137,12 @@ pub struct FedMsConfig {
     /// configured `filter` in charge.
     #[serde(default)]
     pub estimator: EstimatorPolicy,
-    /// Compute backend for client training kernels
-    /// ([`fedms_tensor::BackendKind`]). `Scalar` (the default) is the
-    /// deterministic CI oracle; `Blocked` selects the cache-blocked
-    /// vectorized kernels and requires a build with the `backend-blocked`
-    /// feature.
+    /// The compute backend ([`fedms_tensor::BackendKind`]), which has one
+    /// value: client training always runs the kernels of
+    /// [`fedms_tensor::kernels`]. The field stays for two readers: the
+    /// round benchmark reads it, and [`FedMsConfig::stable_hash`] covers
+    /// its serialized `"backend":"Scalar"`, so dropping it would re-key
+    /// every sweep trial id. It is not a key of [`FedMsConfig::KEYS`].
     #[serde(default)]
     pub backend: BackendKind,
 }
@@ -554,6 +555,17 @@ mod tests {
         let mut d = FedMsConfig::tiny(1);
         d.rounds += 1;
         assert_ne!(a.stable_hash(), d.stable_hash());
+    }
+
+    /// Every `fedms exp` trial id and `--resume` keys on `stable_hash`,
+    /// which covers every serialized field (`"backend":"Scalar"`
+    /// included). Removing or renaming a field re-keys every recorded
+    /// trial, so that must be a deliberate change to these values.
+    #[test]
+    fn stable_hash_is_pinned() {
+        let paper = FedMsConfig::paper_defaults(42).unwrap();
+        assert_eq!(paper.stable_hash_hex(), "1c0f097d1b446363");
+        assert_eq!(FedMsConfig::tiny(1).stable_hash_hex(), "b2b2efa6e595a97b");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use fedms_aggregation::EstimatorPolicy;
 use fedms_attacks::{AttackKind, ClientAttackKind};
 use fedms_nn::LrSchedule;
 use fedms_sim::{DegradedMode, NetModel, ThreatSchedule, UploadStrategy};
-use fedms_tensor::BackendKind;
 
 use crate::{CoreError, FedMsConfig, FilterKind, Result, TransportKind};
 
@@ -159,7 +158,6 @@ impl FedMsConfig {
             let on = flag(v)?;
             c.estimator = if on { EstimatorPolicy::enabled() } else { EstimatorPolicy::default() }
         };
-        backend: Str @ 2 => |c, v| c.backend = BackendKind::parse(v)?;
     };
 
     /// The table entry for `name`, if it is a key.

@@ -52,7 +52,7 @@ pub use config::{FedMsConfig, TransportKind};
 pub use error::CoreError;
 pub use fedms_aggregation::EstimatorPolicy;
 pub use fedms_sim::ThreatSchedule;
-pub use fedms_tensor::{Backend, BackendHandle, BackendKind};
+pub use fedms_tensor::BackendKind;
 pub use filter::FilterKind;
 pub use hash::{fnv1a64, fnv1a64_hex};
 pub use keys::{ConfigKey, ValueKind};

@@ -73,22 +73,7 @@ pub fn check_layer(
     seed: u64,
     tol: f32,
 ) -> Result<()> {
-    check_layer_ref(layer.as_mut(), input_dims, seed, tol)
-}
-
-/// Borrowing form of [`check_layer`]: verifies the layer in place, leaving
-/// every parameter at its original value afterwards. Useful for checking
-/// the same layer repeatedly under different compute backends.
-///
-/// # Errors
-///
-/// Same contract as [`check_layer`].
-pub fn check_layer_ref(
-    layer: &mut dyn Layer,
-    input_dims: &[usize],
-    seed: u64,
-    tol: f32,
-) -> Result<()> {
+    let layer = layer.as_mut();
     let mut rng = fedms_tensor::rng::rng_for(seed, &[0xC0DE]);
     let input = Tensor::randn(&mut rng, input_dims, 0.0, 1.0);
 

@@ -1,6 +1,6 @@
 //! The [`Layer`] trait: hand-written reverse-mode differentiation.
 
-use fedms_tensor::{BackendHandle, Tensor};
+use fedms_tensor::Tensor;
 
 use crate::Result;
 
@@ -87,16 +87,4 @@ pub trait Layer: Send {
     /// (e.g. [`crate::BatchNorm2d`]'s batch statistics vs running
     /// statistics) override this. Containers must propagate the call.
     fn set_training(&mut self, _training: bool) {}
-
-    /// Routes this layer's dense kernels through `backend`. Layers whose
-    /// hot path is elementwise (activations, pooling) ignore it (default
-    /// no-op); matmul/conv layers store the handle, and containers must
-    /// propagate the call to their children.
-    fn set_backend(&mut self, _backend: BackendHandle) {}
-
-    /// The compute backend this layer currently runs on (the scalar
-    /// reference backend unless [`Layer::set_backend`] changed it).
-    fn backend(&self) -> BackendHandle {
-        BackendHandle::scalar()
-    }
 }

@@ -1,7 +1,7 @@
 //! Convolutional layers (standard and depthwise), computed via im2col.
 
 use fedms_tensor::pool::{BufferPool, PoolStats};
-use fedms_tensor::{BackendHandle, Conv2dGeometry, Tensor, TensorError};
+use fedms_tensor::{kernels, Conv2dGeometry, Tensor, TensorError};
 use rand::Rng;
 
 use crate::{Layer, NnError, Result};
@@ -37,7 +37,6 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_cols: Vec<Tensor>,
-    backend: BackendHandle,
     scratch: BufferPool,
 }
 
@@ -53,7 +52,6 @@ impl Clone for Conv2d {
             grad_weight: self.grad_weight.clone(),
             grad_bias: self.grad_bias.clone(),
             cached_cols: self.cached_cols.clone(),
-            backend: self.backend,
             scratch: BufferPool::new(),
         }
     }
@@ -84,7 +82,6 @@ impl Conv2d {
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_cols: Vec::new(),
-            backend: BackendHandle::scalar(),
             scratch: BufferPool::new(),
         })
     }
@@ -137,14 +134,7 @@ impl Conv2d {
             let cols = self.cached_cols[s].as_slice();
             // dW += gradOut · colsᵀ
             let mut dw = self.scratch.fetch_zeroed(self.out_channels * g.col_rows());
-            self.backend.matmul_transb(
-                go,
-                cols,
-                &mut dw,
-                self.out_channels,
-                out_plane,
-                g.col_rows(),
-            );
+            kernels::matmul_transb(go, cols, &mut dw, self.out_channels, out_plane, g.col_rows());
             for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
                 *gw += v;
             }
@@ -157,7 +147,7 @@ impl Conv2d {
             let Some(grad_in) = grad_in.as_deref_mut() else { continue };
             // dCols = Wᵀ · gradOut, then scatter back to image space.
             let mut dcols = self.scratch.fetch_zeroed(g.col_rows() * out_plane);
-            self.backend.matmul_transa(
+            kernels::matmul_transa(
                 self.weight.as_slice(),
                 go,
                 &mut dcols,
@@ -165,7 +155,7 @@ impl Conv2d {
                 self.out_channels,
                 out_plane,
             );
-            self.backend.col2im(&dcols, &g, &mut grad_in[s * vol..(s + 1) * vol]);
+            kernels::col2im(&dcols, &g, &mut grad_in[s * vol..(s + 1) * vol]);
             self.scratch.release(dcols);
         }
     }
@@ -190,9 +180,9 @@ impl Layer for Conv2d {
         for s in 0..batch {
             let img = &input.as_slice()[s * vol..(s + 1) * vol];
             let mut cols = self.scratch.fetch_zeroed(col_len);
-            self.backend.im2col(img, &g, &mut cols);
+            kernels::im2col(img, &g, &mut cols);
             let mut y = self.scratch.fetch_zeroed(self.out_channels * out_plane);
-            self.backend.matmul(
+            kernels::matmul(
                 self.weight.as_slice(),
                 &cols,
                 &mut y,
@@ -247,14 +237,6 @@ impl Layer for Conv2d {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
     }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
-    }
 }
 
 /// A depthwise 2-D convolution: one `k×k` filter per channel, no cross-
@@ -271,7 +253,6 @@ pub struct DepthwiseConv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_cols: Vec<Vec<Tensor>>,
-    backend: BackendHandle,
     scratch: BufferPool,
 }
 
@@ -285,7 +266,6 @@ impl Clone for DepthwiseConv2d {
             grad_weight: self.grad_weight.clone(),
             grad_bias: self.grad_bias.clone(),
             cached_cols: self.cached_cols.clone(),
-            backend: self.backend,
             scratch: BufferPool::new(),
         }
     }
@@ -312,7 +292,6 @@ impl DepthwiseConv2d {
             grad_weight: Tensor::zeros(&[geom.in_channels, kk]),
             grad_bias: Tensor::zeros(&[geom.in_channels]),
             cached_cols: Vec::new(),
-            backend: BackendHandle::scalar(),
             scratch: BufferPool::new(),
         })
     }
@@ -351,7 +330,7 @@ impl Layer for DepthwiseConv2d {
                 let off = (s * g.in_channels + c) * plane;
                 let chan = &input.as_slice()[off..off + plane];
                 let mut cols = self.scratch.fetch_zeroed(kk * out_plane); // (kk, out_plane)
-                self.backend.im2col(chan, &self.chan_geom, &mut cols);
+                kernels::im2col(chan, &self.chan_geom, &mut cols);
                 let w = &self.weight.as_slice()[c * kk..(c + 1) * kk];
                 let b = self.bias.as_slice()[c];
                 let dst_off = (s * g.in_channels + c) * out_plane;
@@ -410,7 +389,7 @@ impl Layer for DepthwiseConv2d {
                     }
                 }
                 let dst_off = (s * g.in_channels + c) * plane;
-                self.backend.col2im(
+                kernels::col2im(
                     &dcols,
                     &self.chan_geom,
                     &mut grad_in.as_mut_slice()[dst_off..dst_off + plane],
@@ -436,14 +415,6 @@ impl Layer for DepthwiseConv2d {
     fn zero_grads(&mut self) {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
     }
 }
 

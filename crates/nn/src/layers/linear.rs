@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use fedms_tensor::{BackendHandle, Tensor};
+use fedms_tensor::Tensor;
 use rand::Rng;
 
 use crate::{Layer, NnError, Result};
@@ -23,7 +23,6 @@ pub struct Linear {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
-    backend: BackendHandle,
 }
 
 impl Linear {
@@ -50,7 +49,6 @@ impl Linear {
             grad_weight: Tensor::zeros(&[out_features, in_features]),
             grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
-            backend: BackendHandle::scalar(),
         })
     }
 
@@ -71,7 +69,7 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut out = input.matmul_transb_on(&self.weight, self.backend)?;
+        let mut out = input.matmul_transb(&self.weight)?;
         let (batch, of) = (out.dims()[0], self.out_features);
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -87,13 +85,13 @@ impl Layer for Linear {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.backward_params(grad_out)?;
         // dX = gradOut · W   →  (batch, out)·(out, in) = (batch, in)
-        Ok(grad_out.matmul_on(&self.weight, self.backend)?)
+        Ok(grad_out.matmul(&self.weight)?)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         let input = self.cached_input.as_ref().ok_or(NnError::NoForwardCache("linear"))?;
         // dW += gradOutᵀ · x   →  (out, batch)·(batch, in) = (out, in)
-        let dw = grad_out.matmul_transa_on(input, self.backend)?;
+        let dw = grad_out.matmul_transa(input)?;
         self.grad_weight.add_inplace(&dw)?;
         // db += column sums of gradOut
         let (batch, of) = (grad_out.dims()[0], self.out_features);
@@ -122,14 +120,6 @@ impl Layer for Linear {
     fn zero_grads(&mut self) {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
     }
 }
 

@@ -1,6 +1,6 @@
 //! Sequential composition of layers.
 
-use fedms_tensor::{BackendHandle, Tensor};
+use fedms_tensor::Tensor;
 
 use crate::{Layer, NnError, Result};
 
@@ -10,7 +10,6 @@ use crate::{Layer, NnError, Result};
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    backend: BackendHandle,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -30,15 +29,12 @@ impl Sequential {
     /// Appends a layer, returning `self` for chaining.
     #[must_use]
     pub fn with(mut self, layer: impl Layer + 'static) -> Self {
-        let mut boxed = Box::new(layer);
-        boxed.set_backend(self.backend);
-        self.layers.push(boxed);
+        self.layers.push(Box::new(layer));
         self
     }
 
     /// Appends a boxed layer.
-    pub fn push(&mut self, mut layer: Box<dyn Layer>) {
-        layer.set_backend(self.backend);
+    pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
     }
 
@@ -113,17 +109,6 @@ impl Layer for Sequential {
         for l in &mut self.layers {
             l.set_training(training);
         }
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-        for l in &mut self.layers {
-            l.set_backend(backend);
-        }
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
     }
 }
 

@@ -1,6 +1,5 @@
 //! Mini-batch stochastic gradient descent with the paper's step-size family.
 
-use fedms_tensor::BackendHandle;
 use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result};
@@ -99,7 +98,6 @@ pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
     velocity: Vec<Vec<f32>>,
-    backend: BackendHandle,
 }
 
 impl Sgd {
@@ -117,13 +115,7 @@ impl Sgd {
             momentum: 0.0,
             weight_decay: 0.0,
             velocity: Vec::new(),
-            backend: BackendHandle::scalar(),
         })
-    }
-
-    /// Routes the parameter-update loop through `backend`.
-    pub fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
     }
 
     /// Enables heavy-ball momentum: `v ← m·v + ∇p`, `p ← p − η·v`.
@@ -213,7 +205,7 @@ impl Sgd {
         for (pi, (param, grad)) in model.params_mut().into_iter().zip(grads.iter()).enumerate() {
             let velocity =
                 if self.momentum > 0.0 { Some(self.velocity[pi].as_mut_slice()) } else { None };
-            self.backend.sgd_update(
+            fedms_tensor::kernels::sgd_update(
                 param.as_mut_slice(),
                 grad,
                 lr,

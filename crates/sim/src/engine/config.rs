@@ -2,7 +2,7 @@
 
 use fedms_aggregation::EstimatorPolicy;
 use fedms_nn::LrSchedule;
-use fedms_tensor::{BackendHandle, BackendKind};
+use fedms_tensor::BackendKind;
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -71,11 +71,9 @@ pub struct EngineConfig {
     /// keeps the statically configured filter bit-identically in charge.
     #[serde(default)]
     pub estimator: EstimatorPolicy,
-    /// Compute backend for every client's dense kernels (matmul, conv,
-    /// SGD). The default scalar backend is the deterministic CI oracle;
-    /// [`BackendKind::Blocked`] (compiled in with the `backend-blocked`
-    /// feature) runs the cache-blocked vectorized kernels and changes
-    /// results only by f32 reassociation error.
+    /// The compute backend, which has one value: every client runs the
+    /// kernels of [`fedms_tensor::kernels`]. Kept, like
+    /// `FedMsConfig::backend`, for configs and callers that name it.
     #[serde(default)]
     pub backend: BackendKind,
 }
@@ -106,18 +104,6 @@ impl EngineConfig {
         })
     }
 
-    /// Resolves the configured compute backend to a handle.
-    ///
-    /// Intra-op threading composes with the engine's own client
-    /// parallelism: when the client-parallel phases own the cores
-    /// (`parallel`), the backend runs single-threaded per client to avoid
-    /// oversubscription; a sequential engine hands its `threads` budget to
-    /// the backend instead.
-    pub(crate) fn resolve_backend(&self) -> Result<BackendHandle> {
-        let intra_threads = if self.parallel { 1 } else { self.threads };
-        self.backend.resolve(intra_threads).map_err(|e| SimError::BadConfig(e.to_string()))
-    }
-
     pub(crate) fn validate(&self) -> Result<()> {
         if self.local_epochs == 0 {
             return Err(SimError::BadConfig("local_epochs must be positive".into()));
@@ -133,7 +119,6 @@ impl EngineConfig {
         let byz: Vec<usize> = self.topology.byzantine_ids().collect();
         self.threat.validate(self.topology.num_servers(), &byz)?;
         self.estimator.validate().map_err(SimError::BadConfig)?;
-        self.resolve_backend()?;
         Ok(())
     }
 }

@@ -211,7 +211,6 @@ impl SimulationEngine {
             train_set,
             partitions,
             initial_model.clone(),
-            config.resolve_backend()?,
         )?;
 
         let mut attack_map: std::collections::BTreeMap<usize, Box<dyn ServerAttack>> =

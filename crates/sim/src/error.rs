@@ -62,16 +62,6 @@ pub enum SimError {
         /// Version this build reads and writes.
         expected: u32,
     },
-    /// A per-client dissemination was asked for a client it does not
-    /// cover (see [`crate::Dissemination::for_client`]). Raised instead
-    /// of an out-of-bounds panic when an equivocating server's message
-    /// is shorter than the federation.
-    DisseminationCoverage {
-        /// The client whose model was requested.
-        client: usize,
-        /// How many clients the dissemination actually covers.
-        covered: usize,
-    },
     /// A network frame failed to decode (see [`crate::net::WireError`]).
     Wire(WireError),
 }
@@ -112,11 +102,6 @@ impl fmt::Display for SimError {
                 "snapshot has layout version {found} but this build reads \
                  version {expected}"
             ),
-            SimError::DisseminationCoverage { client, covered } => write!(
-                f,
-                "dissemination covers only {covered} clients but client \
-                 {client} was addressed"
-            ),
             SimError::Wire(e) => write!(f, "wire error: {e}"),
         }
     }
@@ -133,8 +118,7 @@ impl std::error::Error for SimError {
             SimError::Wire(e) => Some(e),
             SimError::BadConfig(_)
             | SimError::DegradedQuorum { .. }
-            | SimError::SnapshotVersion { .. }
-            | SimError::DisseminationCoverage { .. } => None,
+            | SimError::SnapshotVersion { .. } => None,
         }
     }
 }

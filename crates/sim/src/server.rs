@@ -210,7 +210,7 @@ mod tests {
         let mut s = Server::benign(2, 1);
         let agg = Tensor::from_slice(&[1.0, 2.0]);
         let d = s.disseminate(&agg, 0, 5).unwrap();
-        assert_eq!(d.for_client(3).unwrap(), &agg);
+        assert_eq!(d, Dissemination::Broadcast(agg));
         assert_eq!(s.history_len(), 1);
     }
 
@@ -219,7 +219,7 @@ mod tests {
         let mut s = Server::byzantine(1, Box::new(SignFlipAttack::new(1.0).unwrap()), 1);
         let agg = Tensor::from_slice(&[2.0]);
         let d = s.disseminate(&agg, 0, 3).unwrap();
-        assert_eq!(d.for_client(0).unwrap().as_slice(), &[-2.0]);
+        assert_eq!(d, Dissemination::Broadcast(Tensor::from_slice(&[-2.0])));
         assert!(s.is_byzantine());
     }
 
@@ -236,7 +236,7 @@ mod tests {
         // Next dissemination should replay the aggregate from 2 rounds ago.
         let agg = s.aggregate(&[Tensor::from_slice(&[5.0])], &fallback, &mean).unwrap();
         let d = s.disseminate(&agg, 4, 1).unwrap();
-        assert_eq!(d.for_client(0).unwrap().as_slice(), &[3.0]);
+        assert_eq!(d, Dissemination::Broadcast(Tensor::from_slice(&[3.0])));
     }
 
     #[test]

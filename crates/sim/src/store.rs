@@ -243,7 +243,6 @@ pub(crate) struct ClientStore {
     poison: BTreeMap<usize, usize>,
     bank: ModelBank,
     model_len: usize,
-    backend: fedms_tensor::BackendHandle,
 }
 
 impl std::fmt::Debug for ClientStore {
@@ -266,7 +265,6 @@ impl ClientStore {
         train: Dataset,
         partitions: Partitions,
         initial_model: Tensor,
-        backend: fedms_tensor::BackendHandle,
     ) -> Result<Self> {
         partitions.validate(train.len())?;
         let model_len = initial_model.len();
@@ -282,7 +280,6 @@ impl ClientStore {
             poison: BTreeMap::new(),
             bank,
             model_len,
-            backend,
         })
     }
 
@@ -302,9 +299,7 @@ impl ClientStore {
     /// Builds a fresh instance of the shared model architecture (all
     /// clients share `init_seed`, Algorithm 1 line 6).
     pub(crate) fn build_model(&self) -> Result<Box<dyn Layer>> {
-        let mut model = self.spec.build(self.init_seed)?;
-        model.set_backend(self.backend);
-        Ok(model)
+        self.spec.build(self.init_seed)
     }
 
     /// Materializes client `k` exactly as the eager engine would have
@@ -325,7 +320,6 @@ impl ClientStore {
             self.schedule,
             derive_seed(self.root_seed, &[0x434C_4E54, k as u64]), // "CLNT"
         )?;
-        client.set_backend(self.backend);
         client.set_model_vector(self.bank.get(k))?;
         Ok(client)
     }
@@ -453,7 +447,6 @@ mod tests {
             flat.clone(),
             partitions,
             initial,
-            fedms_tensor::BackendHandle::scalar(),
         )
         .unwrap();
         (store, flat)
@@ -502,17 +495,7 @@ mod tests {
         let spec = ModelSpec::Mlp { widths: vec![16, 8, 4] };
         let initial = fedms_nn::NeuralNet::param_vector(spec.build(1).unwrap().as_ref());
         let bad = Partitions::explicit(vec![vec![0, 9999]]);
-        let err = ClientStore::new(
-            spec,
-            1,
-            1,
-            4,
-            LrSchedule::Constant(0.05),
-            flat,
-            bad,
-            initial,
-            fedms_tensor::BackendHandle::scalar(),
-        );
+        let err = ClientStore::new(spec, 1, 1, 4, LrSchedule::Constant(0.05), flat, bad, initial);
         assert!(err.is_err());
     }
 

@@ -50,23 +50,6 @@ pub enum Dissemination {
 }
 
 impl Dissemination {
-    /// The model delivered to `client_id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DisseminationCoverage`] for a per-client
-    /// dissemination that does not cover `client_id` (an equivocating
-    /// server's message shorter than the federation), instead of an
-    /// out-of-bounds panic.
-    pub fn for_client(&self, client_id: usize) -> Result<&Tensor> {
-        match self {
-            Dissemination::Broadcast(m) => Ok(m),
-            Dissemination::PerClient(ms) => ms
-                .get(client_id)
-                .ok_or(SimError::DisseminationCoverage { client: client_id, covered: ms.len() }),
-        }
-    }
-
     /// Validates that the dissemination covers `num_clients` clients.
     ///
     /// # Errors
@@ -494,13 +477,13 @@ mod tests {
 
     #[test]
     fn for_client_is_checked_not_panicking() {
-        let d = Dissemination::PerClient(vec![Tensor::from_slice(&[1.0]); 2]);
-        assert!(d.for_client(1).is_ok());
-        assert_eq!(
-            d.for_client(5).unwrap_err(),
-            SimError::DisseminationCoverage { client: 5, covered: 2 }
-        );
-        let b = Dissemination::Broadcast(Tensor::from_slice(&[2.0]));
+        let d = SharedDissemination::from(Dissemination::PerClient(vec![
+            Tensor::from_slice(&[1.0]);
+            2
+        ]));
+        assert!(d.for_client(1).is_some());
+        assert!(d.for_client(5).is_none());
+        let b = SharedDissemination::from(Dissemination::Broadcast(Tensor::from_slice(&[2.0])));
         assert_eq!(b.for_client(99).unwrap().as_slice(), &[2.0]);
     }
 }

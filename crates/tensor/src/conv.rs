@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BackendHandle, Tensor, TensorError};
+use crate::{kernels, Tensor, TensorError};
 
 /// Static geometry of a 2-D convolution: input extents, kernel size, stride
 /// and zero padding, with derived output extents.
@@ -119,7 +119,7 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
         });
     }
     let mut out = vec![0.0f32; geom.col_rows() * geom.col_cols()];
-    BackendHandle::scalar().im2col(image.as_slice(), geom, &mut out);
+    kernels::im2col(image.as_slice(), geom, &mut out);
     Tensor::from_vec(out, &[geom.col_rows(), geom.col_cols()])
 }
 
@@ -139,7 +139,7 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErro
         });
     }
     let mut out = vec![0.0f32; geom.input_volume()];
-    BackendHandle::scalar().col2im(cols.as_slice(), geom, &mut out);
+    kernels::col2im(cols.as_slice(), geom, &mut out);
     Tensor::from_vec(out, &[geom.in_channels, geom.in_h, geom.in_w])
 }
 

@@ -1,9 +1,9 @@
-//! Retained reference loops — the oracles the scalar backend's rewritten
-//! kernels are property-tested and benchmarked against.
+//! Retained reference loops — the oracles the rewritten kernels in
+//! [`super`] are property-tested and benchmarked against.
 //!
 //! These keep the historical loop shape verbatim. They are never on a
 //! runtime path: `tests/transb_oracle.rs` asserts that
-//! [`ScalarBackend`](super::ScalarBackend) reproduces them bit for bit
+//! [`super::matmul_transb`] reproduces them bit for bit
 //! (`to_bits`, NaN positions for NaN outputs), and `nnbench` times them as
 //! the `reference` GEMM row.
 

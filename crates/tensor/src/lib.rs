@@ -8,6 +8,13 @@
 //! utilities ([`rng`]) used to fan a single experiment seed out to every
 //! client, server and attack in a simulation.
 //!
+//! The dense inner loops are one set of free functions in [`kernels`],
+//! called directly by the tensor methods here and by the layers and
+//! optimizer of `fedms-nn`. Each performs a fixed per-element operation
+//! order, so every run is bit-identical across repetitions and thread
+//! counts; [`kernels::reference`] keeps the historical loops the
+//! rewritten ones are pinned to.
+//!
 //! # Example
 //!
 //! ```
@@ -23,6 +30,7 @@
 pub mod backend;
 mod conv;
 mod error;
+pub mod kernels;
 mod ops;
 pub mod pool;
 pub mod rng;
@@ -30,7 +38,7 @@ mod shape;
 mod stats;
 mod tensor;
 
-pub use backend::{Backend, BackendHandle, BackendKind};
+pub use backend::BackendKind;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use shape::Shape;

@@ -1,5 +1,5 @@
-//! Pins the scalar backend's `matmul_transb` to the retained dot-product
-//! loop (`backend::reference::matmul_transb`) bit for bit.
+//! Pins the `matmul_transb` kernel to the retained dot-product loop
+//! (`kernels::reference::matmul_transb`) bit for bit.
 //!
 //! The rewritten kernel runs k-major over a packed bᵀ so it vectorizes, and
 //! computes full 2×16 output tiles in a local accumulator array; it must
@@ -12,9 +12,7 @@
 //! NaN outputs are compared by position, since IEEE leaves a computed
 //! NaN's sign and payload unspecified.
 
-use fedms_tensor::backend::reference;
-use fedms_tensor::backend::ScalarBackend;
-use fedms_tensor::Backend;
+use fedms_tensor::kernels::{self, reference};
 use proptest::prelude::*;
 
 /// Codes `0..11` are the IEEE edge cases; every other code is an ordinary
@@ -47,7 +45,7 @@ fn assert_bit_identical(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) {
     let mut want = vec![f32::NAN; m * n];
     let mut got = vec![f32::NAN; m * n];
     reference::matmul_transb(a, b, &mut want, m, k, n);
-    ScalarBackend.matmul_transb(a, b, &mut got, m, k, n);
+    kernels::matmul_transb(a, b, &mut got, m, k, n);
     for (idx, (w, g)) in want.iter().zip(got.iter()).enumerate() {
         if w.is_nan() {
             assert!(g.is_nan(), "{m}x{k}x{n} out[{idx}]: reference NaN, kernel {g}");
@@ -97,6 +95,6 @@ fn zero_times_infinity_stays_nan() {
     let a = [0.0f32, 1.0];
     let b = [f32::INFINITY, 2.0];
     let mut out = [0.0f32];
-    ScalarBackend.matmul_transb(&a, &b, &mut out, 1, 2, 1);
+    kernels::matmul_transb(&a, &b, &mut out, 1, 2, 1);
     assert!(out[0].is_nan());
 }

@@ -78,4 +78,4 @@ pub use fedms_sim::{
     ServerFault, SimError, SimulationEngine, Snapshot, ThreatEpoch, ThreatSchedule, ThreatView,
     Topology, Transport, UploadReport, UploadStrategy, WireError,
 };
-pub use fedms_tensor::{Backend, BackendHandle, BackendKind, Shape, Tensor, TensorError};
+pub use fedms_tensor::{BackendKind, Shape, Tensor, TensorError};

@@ -24,7 +24,7 @@ fn usage_text() -> String {
         .collect();
     let flags = flags.chunks(3).map(|line| line.join(" ")).collect::<Vec<_>>().join("\n    ");
     format!(
-        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [<config flags>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nconfig flags (the [base]/[grid] keys of a sweep spec, with `-` for `_`;\nattack and filter values as `fedms attacks` / `fedms filters` print them):\n    {flags}\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(per-server actors, versioned wire frames); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend selects the compute backend for client training: scalar (the\ndeterministic default) or blocked (cache-blocked vectorized kernels;\nrequires a binary built with --features backend-blocked).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool (--threads defaults to every core); records land\nin <out-dir>/<run-id>/, a re-run (or --resume <run-id>) skips every\nalready-completed trial, and the sweep's accuracy tables print at the end\n(first grid axis = panel, remaining axes = series)."
+        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [<config flags>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nconfig flags (the [base]/[grid] keys of a sweep spec, with `-` for `_`;\nattack and filter values as `fedms attacks` / `fedms filters` print them):\n    {flags}\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(per-server actors, versioned wire frames); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\nclient training runs one kernel set with a fixed operation order, so a\nrun is bit-identical across repetitions, thread counts and transports\n(there is no --backend flag).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool (--threads defaults to every core); records land\nin <out-dir>/<run-id>/, a re-run (or --resume <run-id>) skips every\nalready-completed trial, and the sweep's accuracy tables print at the end\n(first grid axis = panel, remaining axes = series)."
     )
 }
 

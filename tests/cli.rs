@@ -225,3 +225,62 @@ fn listed_kind_names_parse_through_the_key_table() {
         }
     }
 }
+
+/// Exit code 1 with a message naming `key`: a typed error, not a panic.
+fn assert_typed_error(out: &std::process::Output, key: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{key}: {stderr}");
+    assert!(stderr.contains(key), "error must name {key}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{key}: {stderr}");
+}
+
+/// A config as `fedms init-config` wrote it before the kernel set became
+/// one (it carries `"backend": "Scalar"`), cut to a fast run.
+fn shrunk_init_config() -> serde_json::Value {
+    let mut cfg: serde_json::Value =
+        serde_json::from_str(include_str!("fixtures/init-config.json")).unwrap();
+    assert_eq!(cfg["backend"].as_str(), Some("Scalar"));
+    cfg["clients"] = 6.into();
+    cfg["servers"] = 3.into();
+    cfg["byzantine_count"] = 1.into();
+    cfg["rounds"] = 2.into();
+    cfg["dataset"]["train_per_class"] = 5.into();
+    cfg["dataset"]["test_per_class"] = 2.into();
+    cfg["model"] = serde_json::json!({"Mlp": {"widths": [192, 8, 10]}});
+    cfg
+}
+
+#[test]
+fn removed_backend_knob_is_a_typed_error() {
+    let out = fedms().args(["run", "--backend", "blocked"]).output().expect("binary runs");
+    assert_typed_error(&out, "--backend");
+
+    let spec = temp_path("backend.toml");
+    std::fs::write(
+        &spec,
+        "[experiment]\nname = \"backend\"\nscale = \"tiny\"\nrounds = 1\n\n\
+         [base]\nbackend = \"blocked\"\n",
+    )
+    .unwrap();
+    let out = fedms().args(["exp", "list", spec.to_str().unwrap()]).output().expect("binary runs");
+    let _ = std::fs::remove_file(&spec);
+    assert_typed_error(&out, "backend");
+
+    let mut cfg = shrunk_init_config();
+    cfg["backend"] = "Blocked".into();
+    let path = temp_path("blocked.json");
+    std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
+    let out = fedms().args(["run", path.to_str().unwrap()]).output().expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    assert_typed_error(&out, "backend");
+}
+
+#[test]
+fn config_written_before_the_kernel_fold_still_runs() {
+    let path = temp_path("old-init.json");
+    std::fs::write(&path, serde_json::to_string(&shrunk_init_config()).unwrap()).unwrap();
+    let out = fedms().args(["run", path.to_str().unwrap()]).output().expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("final accuracy"));
+}
